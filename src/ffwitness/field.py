@@ -110,6 +110,14 @@ def _fp_is_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
+def _gf2_times(tables: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # the product c * a for indices a of GF(2**k), from the byte tables of c
+    out = tables[0][a & 0xFF]
+    for b in range(1, len(tables)):
+        out ^= tables[b][(a >> (8 * b)) & 0xFF]
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -174,14 +182,36 @@ class FieldDescriptor:
             return 1
         primes = nt.factorize(self.Q - 1).prime_divisors()
         cofactors = [(self.Q - 1) // r for r in primes]
-        for idx in range(2, self.Q):
+        # for k >= 2 the indices below p are the prime field, whose orders
+        # divide p - 1 < Q - 1, so none of them generates
+        start = self.p if self.k > 1 else 2
+        for idx in range(start, self.Q):
             if all(self._pow_poly(idx, c) != 1 for c in cofactors):
                 return idx
         raise RuntimeError("no generator found")  # unreachable for a field
 
     def _build_tables(self) -> None:
-        p, k, Q = self.p, self.k, self.Q
-        Qm1 = Q - 1
+        """exp[j] = index of g**j for j < Q - 1, and its inverse log (with
+        log[0] = -1). The exp table must be a bijection onto the nonzero
+        indices, which holds exactly when the generator is primitive."""
+        Q = self.Q
+        exp = self._exp_by_doubling() if self.p == 2 else self._exp_by_matmul()
+        log = np.full(Q, -1, dtype=np.int64)
+        log[exp] = np.arange(Q - 1, dtype=np.int64)
+        # Q - 1 values that hit all Q - 1 nonzero indices are a bijection
+        # onto them (and leave log[0] = -1)
+        if exp[0] != 1 or not (log[1:] >= 0).all():
+            raise RuntimeError("exp table is not a bijection; generator is wrong")
+        exp.flags.writeable = False
+        log.flags.writeable = False
+        self._exp = exp
+        self._log = log
+
+    def _exp_by_matmul(self) -> np.ndarray:
+        """The exp table for any p: the digit vectors of g**j, a block of
+        B = _TABLE_BLOCK rows at a time, each block the previous one times
+        the matrix of multiplication by g**B."""
+        p, k, Qm1 = self.p, self.k, self.Q - 1
         # multiplication-by-generator matrix: column j = coeffs of g * x**j
         g = self._decode(self.generator_index)
         M = np.zeros((k, k), dtype=np.int64)
@@ -191,48 +221,64 @@ class FieldDescriptor:
                 M[i, j] = c
         B = min(_TABLE_BLOCK, Qm1)
         block = np.zeros((B, k), dtype=np.int64)
-        cur = np.zeros(k, dtype=np.int64)
-        cur[0] = 1
-        for i in range(B):
-            block[i] = cur
-            cur = (M @ cur) % p
+        block[0, 0] = 1
+        n, Mn = 1, M  # Mn = M**n mod p
+        while n < B:  # the first block by doubling: rows n..2n-1 = M**n rows 0..n-1
+            m = min(n, B - n)
+            block[n : n + m] = (block[:m] @ Mn.T) % p
+            Mn = (Mn @ Mn) % p
+            n += m
         exp = np.empty(Qm1, dtype=np.int64)
         exp[:B] = block @ self._pp_np
         if Qm1 > B:
-            MBt = np.eye(k, dtype=np.int64)
-            base = M.copy()
-            e = B
-            while e:  # M**B mod p, then transposed
-                if e & 1:
-                    MBt = (MBt @ base) % p
-                base = (base @ base) % p
-                e >>= 1
-            MBt = MBt.T
+            # B = _TABLE_BLOCK is a power of two, so the doubling above
+            # ended on a full step and left Mn = M**B
+            MBt = Mn.T
             pos = B
             while pos < Qm1:
                 block = (block @ MBt) % p
                 n = min(B, Qm1 - pos)
                 exp[pos : pos + n] = block[:n] @ self._pp_np
                 pos += n
-        if exp[0] != 1 or np.unique(exp).size != Qm1:
-            raise RuntimeError("exp table is not a bijection; generator is wrong")
-        log = np.full(Q, -1, dtype=np.int64)
-        log[exp] = np.arange(Qm1, dtype=np.int64)
-        exp.flags.writeable = False
-        log.flags.writeable = False
-        self._exp = exp
-        self._log = log
+        return exp
+
+    def _exp_by_doubling(self) -> np.ndarray:
+        """The exp table for p = 2, by doubling: exp[n:2n] = g**n * exp[:n].
+
+        Multiplication by a fixed element c is GF(2)-linear on the bits of
+        an index: c * a is the XOR of c * x**i over the set bits i of a.
+        Folding those k images into one 256-entry table per byte of the
+        index makes each doubling step a few lookups and XORs per entry."""
+        k, Qm1 = self.k, self.Q - 1
+        mod_bits = sum(c << i for i, c in enumerate(self.modulus))
+        exp = np.empty(Qm1, dtype=np.int64)
+        exp[0] = 1
+        n, gn = 1, np.array([self.generator_index], dtype=np.int64)  # [g**n]
+        while n < Qm1:
+            # row b, entry v: g**n times the element with bits 8b..8b+7 = v
+            tables = np.zeros(((k + 7) // 8, 256), dtype=np.int64)
+            v = int(gn[0])
+            for i in range(k):  # v = g**n * x**i
+                b, bit = divmod(i, 8)
+                tables[b, 1 << bit : 2 << bit] = tables[b, : 1 << bit] ^ v
+                v <<= 1
+                if v >> k:
+                    v ^= mod_bits
+            m = min(n, Qm1 - n)
+            exp[n : n + m] = _gf2_times(tables, exp[:m])
+            gn = _gf2_times(tables, gn)
+            n += m
+        return exp
 
     def _build_luts(self) -> None:
-        Q = self.Q
-        self._add_lut = [[self._add_digits(a, b) for b in range(Q)] for a in range(Q)]
+        # nested lists: scalar add_idx/mul_idx index them faster than numpy
+        idx = self.all_indices()
+        rows, cols = idx[:, None], idx[None, :]
+        self._add_lut = self.add_vec(rows, cols).tolist()
         if self._exp is not None:
-            exp, log, Qm1 = self._exp, self._log, Q - 1
-            self._mul_lut = [
-                [0 if a == 0 or b == 0 else int(exp[(log[a] + log[b]) % Qm1]) for b in range(Q)]
-                for a in range(Q)
-            ]
+            self._mul_lut = self.mul_vec(rows, cols).tolist()
         else:
+            Q = self.Q
             self._mul_lut = [[self._mul_poly(a, b) for b in range(Q)] for a in range(Q)]
 
     # -- index codec -------------------------------------------------------
@@ -590,7 +636,12 @@ def field_from_json(desc: dict, *, cap: int | None = None) -> FieldDescriptor:
 class _Embedding:
     """The canonical embedding GF(p**m) -> GF(p**k) (m | k) sending the
     subfield's generator-of-arithmetic x to the minimal-index root of the
-    subfield modulus."""
+    subfield modulus.
+
+    The root is searched for among the p**m elements of the target's copy
+    of GF(p**m) only. Subfields of at most _EAGER_EMBED_CAP elements get an
+    eager image, computed for all of them at once with the vector kernels,
+    and a preimage dict."""
 
     __slots__ = ("src", "target", "root_idx", "power_idx", "_image", "_preimage")
 
@@ -608,7 +659,16 @@ class _Embedding:
         self._image = None
         self._preimage = None
         if src.Q <= _EAGER_EMBED_CAP:
-            image = [self._map_idx(a) for a in range(src.Q)]
+            if target.has_tables:
+                # a = sum c_i x**i maps to sum c_i root**i; the digit c_i is
+                # the prime-field constant with index c_i in the target too
+                digits = src.digits_vec(src.all_indices())
+                acc = np.zeros(src.Q, dtype=np.int64)
+                for i, power in enumerate(self.power_idx):
+                    acc = target.add_vec(acc, target.mul_vec(digits[:, i], np.int64(power)))
+                image = acc.tolist()
+            else:
+                image = [self._map_idx(a) for a in range(src.Q)]
             self._image = tuple(image)
             self._preimage = {t: s for s, t in enumerate(image)}
 
@@ -642,8 +702,13 @@ def _roots_of_subfield_modulus(src: FieldDescriptor, target: FieldDescriptor) ->
     # prime-field coefficients c are the constant elements with index c
     coeffs = [c % target.p for c in src.modulus]
     if target.has_tables:
-        vals = target.eval_poly_vec(coeffs, target.all_indices())
-        return [int(i) for i in np.nonzero(vals == 0)[0]]
+        # an irreducible of degree m has all its roots in the copy of
+        # GF(p**m): 0 and the powers g**(j(Q-1)/(q-1)) (Lidl-Niederreiter,
+        # Finite Fields, Thm 2.14), so only those q candidates are tried
+        step = (target.Q - 1) // (src.Q - 1)
+        points = np.concatenate((np.zeros(1, dtype=np.int64), target._exp[::step]))
+        vals = target.eval_poly_vec(coeffs, points)
+        return sorted(points[vals == 0].tolist())
     out = []
     for a in range(target.Q):
         acc = 0

@@ -225,6 +225,21 @@ def test_primitive_set_search_rejects_base_alpha():
         primitive_set_search(7, 2, 1, alpha_index=in_base)
 
 
+@pytest.mark.parametrize("q", [128, 256])
+def test_primitive_count_meets_bound_where_tau_holds(q):
+    # criterion 8's cells never satisfy the tau condition, so its
+    # count >= bound gate is run here, at (q, n, t) = (q, 2, 1), where it holds
+    p, k = nt.is_prime_power(q)
+    big = make_field(p, 2 * k)
+    base_img = set(get_embedding(make_field(p, k), big).image_indices())
+    alphas = [a for a in range(0, big.Q, big.Q // 64) if a not in base_img]
+    assert len(alphas) >= 60
+    for a in alphas:
+        rep = primitive_set_search(q, 2, 1, alpha_index=a)
+        assert rep.tau_condition, (q, a)
+        assert rep.n_actual >= math.ceil(rep.n_lower), (q, a, rep.n_actual, rep.n_lower)
+
+
 def test_primitive_weil_audit_q7():
     rep = primitive_set_search(7, 2, 1)
     assert primitive_weil_audit(7, 2, 1, rep.spec.alpha_index) is True

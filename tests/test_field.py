@@ -8,7 +8,7 @@ scratch; small fields are compared against it exhaustively.
 import numpy as np
 import pytest
 
-from ffwitness import field
+from ffwitness import field, nt
 from ffwitness.field import (
     CapExceeded,
     FieldElement,
@@ -101,7 +101,9 @@ def test_generator_frozen():
 
 
 def test_generator_is_minimal():
-    for p, k in ((7, 1), (3, 2), (2, 3), (5, 1)):
+    # (5, 2), (7, 2), (11, 2) and (3, 3) have k >= 2, where the search
+    # skips the prime-field indices below p
+    for p, k in ((7, 1), (3, 2), (2, 3), (5, 1), (5, 2), (7, 2), (11, 2), (3, 3)):
         fd = make_field(p, k)
         g = fd.generator_index
         for idx in range(1, g):
@@ -203,6 +205,36 @@ def test_log_vec_zero_sentinel():
     assert sorted(int(v) for v in logs[1:]) == list(range(fd.Q - 1))
 
 
+@pytest.mark.parametrize("k", range(2, 17))
+def test_exp_doubling_matches_matmul(k):
+    # the p = 2 XOR-doubling exp table against the generic block-matmul one
+    fd = make_field(2, k)
+    exp = fd._exp_by_matmul()
+    log = np.full(fd.Q, -1, dtype=np.int64)
+    log[exp] = np.arange(fd.Q - 1)
+    assert np.array_equal(fd._exp, exp)
+    assert np.array_equal(fd._log, log)
+
+
+@pytest.mark.parametrize("p,k", [(3, 8), (2, 12)])
+def test_bijection_check_rejects_non_primitive_generator(p, k):
+    # (3, 8) takes the matmul path past one block, (2, 12) the doubling path
+    fd = field.FieldDescriptor(p, k, field.DEFAULT_CAP, False)
+    r = min(nt.factorize(fd.Q - 1).prime_divisors())
+    fd.generator_index = fd.pow_idx(fd.generator_index, r)  # order (Q-1)/r
+    with pytest.raises(RuntimeError, match="exp table is not a bijection"):
+        fd._build_tables()
+    assert not fd.has_tables
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 5), (251, 1), (2, 3), (7, 2)])
+def test_luts_match_scalar(p, k):
+    fd = make_field(p, k)
+    Q = fd.Q
+    assert fd._add_lut == [[fd._add_digits(a, b) for b in range(Q)] for a in range(Q)]
+    assert fd._mul_lut == [[fd._mul_poly(a, b) for b in range(Q)] for a in range(Q)]
+
+
 def test_tables_off_raises():
     clear_field_cache()
     fd = make_field(3, 2, tables=False)
@@ -293,6 +325,20 @@ def test_embedding_is_ring_hom():
             assert emb.map_idx(src.add_idx(a, b)) == dst.add_idx(fa, fb)
             assert emb.map_idx(src.mul_idx(a, b)) == dst.mul_idx(fa, fb)
     assert emb.map_idx(0) == 0 and emb.map_idx(1) == 1
+
+
+@pytest.mark.parametrize("p,m,k", [
+    (2, 1, 4), (2, 2, 6), (2, 3, 12), (2, 4, 8), (2, 8, 16), (2, 5, 15),
+    (3, 1, 2), (3, 2, 4), (3, 3, 9), (3, 5, 10), (5, 2, 6), (7, 1, 4),
+    (7, 2, 4), (13, 2, 4), (31, 1, 3), (251, 1, 2), (3, 1, 1), (5, 3, 3),
+])
+def test_embedding_matches_whole_field_search(p, m, k):
+    src, dst = make_field(p, m), make_field(p, k)
+    emb = get_embedding(src, dst)
+    coeffs = [c % p for c in src.modulus]
+    roots = np.flatnonzero(dst.eval_poly_vec(coeffs, dst.all_indices()) == 0)
+    assert emb.root_idx == roots.min()
+    assert emb.image_indices() == tuple(emb._map_idx(a) for a in range(src.Q))
 
 
 def test_embedding_composes_through_tower():
