@@ -4,10 +4,11 @@ applicability test, and the r-free / primitive indicator sums.
 
 The applicability test follows the norm criterion: the bound covers the sum
 of chi over f(subfield) when for some root zeta of f, with multiplicity t,
-chi**t is nontrivial on the norm image (down to GF(Q)) of GF(q)(zeta)*. Root
-classes are resolved by literal enumeration inside the field cap; outside it
-only a simple-root shortcut can certify, and anything else is reported as
-unknown rather than guessed.
+chi**t is nontrivial on the norm image (down to GF(Q)) of GF(q)(zeta)*. The
+roots are grouped by distinct-degree factorization; a group of degree i is
+resolved exactly, by finding its roots in GF(Q**i), when that field fits the
+cap. Beyond the cap only a simple-root shortcut can certify, and anything
+else is reported as unknown rather than guessed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .field import (
 )
 from .poly import (
     Polynomial,
+    multiplicity,
     poly_powmod,
     roots_in_extension,
     squarefree_part,
@@ -156,26 +158,15 @@ def _frobenius_degree(fd: FieldDescriptor, idx: int, q: int, span: int) -> int:
     raise RuntimeError("element fixed by no Frobenius power in its own field")
 
 
-def _enumerated_norm_image_order(ext: FieldDescriptor, down_Q: int, q: int, j: int) -> int:
+def _norm_image_order(ext: FieldDescriptor, down_Q: int, q: int, j: int) -> int:
     """Order of Norm(GF(q**j)*) inside GF(down_Q)*, with the norm taken from
-    ext down to GF(down_Q), by enumerating all of GF(q**j)* in log space."""
+    ext down to GF(down_Q). In log space GF(q**j)* is the multiples of
+    stride = n/(q**j - 1) and the norm multiplies logs by n/(down_Q - 1), so
+    the image is the cyclic group generated by their product mod n."""
     n = ext.Q - 1
     stride = n // (q**j - 1)
     norm_exp = n // (down_Q - 1)
-    factor = (stride * norm_exp) % n
-    vals = (np.arange(q**j - 1, dtype=np.int64) * factor) % n
-    return int(np.unique(vals).size)
-
-
-def _multiplicity(f: Polynomial, factor: Polynomial) -> int:
-    mult = 0
-    cur = f
-    while True:
-        quo, rem = divmod(cur, factor)
-        if not rem.is_zero():
-            return mult
-        mult += 1
-        cur = quo
+    return n // math.gcd(stride * norm_exp, n)
 
 
 def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple, bool]:
@@ -209,18 +200,22 @@ def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple
             work = work // lin
 
     if work.degree() > 0:
+        # distinct-degree factorization of what has no root in B, from
+        # degree 2: comp of degree i is gcd(rem, x**(Q**i) - x)
         sf = squarefree_part(work)
         x = Polynomial.x(B)
-        h = x
+        h, h_level = x, 0  # h = x**(Q**h_level) mod sf, advanced only when needed
         rem = sf
         i = 1
         while rem.degree() > 0:
             i += 1
             if 2 * i > rem.degree():
+                # every factor left has degree >= i, so rem is irreducible
                 comp, i = rem, rem.degree()
                 rem = Polynomial(B, (1,))
             else:
-                h = poly_powmod(h, B.Q, sf)
+                h = poly_powmod(h, B.Q ** (i - h_level), sf)
+                h_level = i
                 comp = rem.gcd(h - x)
                 if comp.degree() == 0:
                     continue
@@ -255,13 +250,13 @@ def _process_component(
             if _frobenius_degree(ext, zeta.idx, B.Q, i) != i:
                 continue  # lives in a smaller level, classified there
             j = _frobenius_degree(ext, zeta.idx, q, m * i)
-            classes.append((mult, _enumerated_norm_image_order(ext, B.Q, q, j)))
+            classes.append((mult, _norm_image_order(ext, B.Q, q, j)))
         return
     if comp.degree() == i:
         # a single irreducible factor; the shortcut needs a simple root whose
         # field GF(q)(zeta) is all of B[zeta]
         phi_poly = comp.monic()
-        mult = _multiplicity(fm, phi_poly)
+        mult = multiplicity(fm, phi_poly)
         x = Polynomial.x(B)
         cur = x
         j = None

@@ -307,8 +307,27 @@ class FieldDescriptor:
 
     def _add_digits(self, a: int, b: int) -> int:
         p = self.p
-        da, db = self._decode(a), self._decode(b)
-        return self.index_of([(x + y) % p for x, y in zip(da, db)])
+        out = 0
+        for place in self._pp[: self.k]:
+            s = a % p + b % p
+            a //= p
+            b //= p
+            if s >= p:
+                s -= p
+            out += s * place
+        return out
+
+    def _sub_digits(self, a: int, b: int) -> int:
+        p = self.p
+        out = 0
+        for place in self._pp[: self.k]:
+            s = a % p - b % p
+            a //= p
+            b //= p
+            if s < 0:
+                s += p
+            out += s * place
+        return out
 
     def add_idx(self, a: int, b: int) -> int:
         if self._add_lut is not None:
@@ -320,12 +339,12 @@ class FieldDescriptor:
     def neg_idx(self, a: int) -> int:
         if self.p == 2:
             return a
-        return self.index_of([(-c) % self.p for c in self._decode(a)])
+        return self._sub_digits(0, a)
 
     def sub_idx(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        return self.add_idx(a, self.neg_idx(b))
+        return self._sub_digits(a, b)
 
     def _mul_poly(self, a: int, b: int) -> int:
         p, k = self.p, self.k

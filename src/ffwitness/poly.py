@@ -356,30 +356,70 @@ def squarefree_part_degree(f: Polynomial) -> int:
     return squarefree_part(f).degree()
 
 
+def multiplicity(f: Polynomial, factor: Polynomial) -> int:
+    """The largest n with factor**n dividing f, by repeated division."""
+    mult = 0
+    cur = f
+    while True:
+        quo, rem = divmod(cur, factor)
+        if not rem.is_zero():
+            return mult
+        mult += 1
+        cur = quo
+
+
+def _split_linear(L: Polynomial, start: int = 0) -> list[int]:
+    """Root indices of a monic product L of distinct linear factors, by
+    deterministic equal-degree splitting (Cantor-Zassenhaus) with the
+    splitting elements delta_j, j = start, start + 1, ...
+
+    p = 2: delta_j = x**j for j < k; the roots with Tr(delta * r) = 0 are
+    those of Tr(delta * x) mod L, and Tr(delta * (r1 - r2)) cannot vanish on
+    the whole basis. Odd p: delta_j = g**(j+1) up to g**(Q-1) = 1, then 0;
+    the roots with r + delta a nonzero square are those of
+    (x + delta)**((Q-1)/2) - 1, and these delta cover the field. Either way
+    some delta separates any two distinct roots. Generator powers lie in no
+    proper subfield, unlike the small indices, which matters when the roots
+    share a subfield in which every element is a square. A delta that fails
+    on L fails on its factors, so they resume after the one that split L."""
+    fd = L.field
+    n = L.degree()
+    if n <= 0:
+        return []
+    if n == 1:
+        return [fd.neg_idx(L.coeffs[0])]
+    for j in range(start, fd.k if fd.p == 2 else fd.Q):
+        if fd.p == 2:
+            t = Polynomial(fd, (0, 1 << j))  # delta * x, already reduced as n >= 2
+            h = t
+            for _ in range(fd.k - 1):
+                t = (t * t) % L
+                h = h + t
+        else:
+            delta = fd.pow_idx(fd.generator_index, j + 1) if j < fd.Q - 1 else 0
+            h = poly_powmod(Polynomial(fd, (delta, 1)), (fd.Q - 1) // 2, L) - Polynomial(fd, (1,))
+        d = L.gcd(h)
+        if 0 < d.degree() < n:
+            return _split_linear(d, j + 1) + _split_linear(L // d, j + 1)
+    raise RuntimeError("no splitting element found")  # unreachable for distinct roots
+
+
 def roots_in_extension(f: Polynomial, ext: FieldDescriptor) -> list[tuple[FieldElement, int]]:
     """Roots of f in the extension field with multiplicities, sorted by
-    element index. The coefficient field must embed in ext."""
+    element index. The coefficient field must embed in ext.
+
+    The distinct roots are those of L = gcd(g, x**Q - x) for g the monic
+    lift of f to ext, found by splitting L; the cost is polynomial in
+    deg f and log Q, with no pass over the field."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     emb = get_embedding(f.field, ext)
-    lifted = [emb.map_idx(c) for c in f.coeffs]
-    if ext.has_tables:
-        vals = ext.eval_poly_vec(lifted, ext.all_indices())
-        root_idxs = [int(i) for i in np.nonzero(vals == 0)[0]]
-    else:
-        g = Polynomial(ext, lifted)
-        root_idxs = [a for a in range(ext.Q) if g.eval_idx(a) == 0]
-    g = Polynomial(ext, lifted)
-    out = []
-    for r in root_idxs:
-        lin = Polynomial(ext, (ext.neg_idx(r), 1))
-        mult = 0
-        cur = g
-        while True:
-            quo, rem = divmod(cur, lin)
-            if not rem.is_zero():
-                break
-            mult += 1
-            cur = quo
-        out.append((FieldElement(ext, r), mult))
-    return out
+    g = Polynomial(ext, [emb.map_idx(c) for c in f.coeffs]).monic()
+    if g.degree() < 1:
+        return []
+    x = Polynomial.x(ext)
+    L = g.gcd(poly_powmod(x, ext.Q, g) - x)
+    return [
+        (FieldElement(ext, r), multiplicity(g, Polynomial(ext, (ext.neg_idx(r), 1))))
+        for r in sorted(_split_linear(L))
+    ]

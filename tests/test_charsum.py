@@ -1,11 +1,16 @@
 """Multiplicative characters, Weil-bound applicability, r-free indicators.
 
 Hand-derived anchors: the quadratic character of GF(7) is the Legendre
-symbol, and sum_a chi2(a**2 + 1) over GF(7) equals -1.
+symbol, and sum_a chi2(a**2 + 1) over GF(7) equals -1. The root profile
+behind the applicability test is checked against an enumeration oracle that
+evaluates f at every element of each extension inside the cap.
 """
 
 import cmath
+import itertools
+import random
 
+import numpy as np
 import pytest
 
 from ffwitness import charsum, nt
@@ -20,8 +25,8 @@ from ffwitness.charsum import (
     weil_applicability,
     weil_audit_instances,
 )
-from ffwitness.field import get_embedding, is_dth_power, make_field
-from ffwitness.poly import Polynomial
+from ffwitness.field import DEFAULT_CAP, get_embedding, is_dth_power, make_field
+from ffwitness.poly import Polynomial, is_irreducible
 
 TOL = 1e-9
 
@@ -154,6 +159,166 @@ def test_charsum_result_json():
     blob = res.to_json()
     assert set(blob) == {"re", "im", "terms", "bound", "applicable"}
     assert blob["applicable"] is True
+
+
+# -- root profile: distinct degrees, norm images, the beyond-cap shortcut ------
+
+def norm_image_order_by_enumeration(ext, down_Q, q, j):
+    # the logs of GF(q**j)* are the multiples of n/(q**j - 1); the norm down
+    # to GF(down_Q) multiplies them by n/(down_Q - 1)
+    n = ext.Q - 1
+    factor = (n // (q**j - 1)) * (n // (down_Q - 1)) % n
+    return int(np.unique((np.arange(q**j - 1, dtype=np.int64) * factor) % n).size)
+
+
+def test_norm_image_order_closed_form_matches_enumeration():
+    checked = 0
+    for p, k_base, m, i in [(2, 1, 2, 1), (2, 1, 2, 3), (2, 2, 2, 2), (2, 1, 3, 2), (3, 1, 2, 2),
+                            (3, 1, 2, 3), (3, 2, 2, 2), (5, 1, 2, 2), (5, 1, 3, 1), (7, 1, 2, 2),
+                            (11, 1, 2, 2), (13, 1, 1, 2)]:
+        ext = make_field(p, k_base * m * i)
+        q = p**k_base
+        for down_k in range(k_base, k_base * m * i + 1, k_base):
+            if (k_base * m * i) % down_k:
+                continue
+            for j in range(1, m * i + 1):
+                if (m * i) % j:
+                    continue
+                want = norm_image_order_by_enumeration(ext, p**down_k, q, j)
+                assert charsum._norm_image_order(ext, p**down_k, q, j) == want
+                checked += 1
+    assert checked > 60
+
+
+def profile_by_enumeration(f, base):
+    """Sorted (multiplicity, norm image order) per root of f, over the
+    coefficient field B, from evaluating f at every element of GF(B.Q**i)
+    for each i <= deg f; needs every GF(B.Q**i) inside the cap."""
+    B = f.field
+    q, m = base.Q, B.k // base.k
+    out = []
+    for i in range(1, f.degree() + 1):
+        E = make_field(B.p, B.k * i)
+        g = Polynomial(E, [get_embedding(B, E).map_idx(c) for c in f.coeffs])
+        vals = E.eval_poly_vec(list(g.coeffs), E.all_indices())
+        for r in np.nonzero(vals == 0)[0].tolist():
+            # only roots of degree exactly i over B; smaller ones came earlier
+            if min(s for s in range(1, i + 1) if E.pow_idx(r, B.Q**s) == r) != i:
+                continue
+            lin = Polynomial(E, (E.neg_idx(r), 1))
+            mult, cur = 0, g
+            while (cur % lin).is_zero():
+                mult, cur = mult + 1, cur // lin
+            j = min(s for s in range(1, m * i + 1) if E.pow_idx(r, q**s) == r)
+            out.append((mult, norm_image_order_by_enumeration(E, B.Q, q, j)))
+    return sorted(out)
+
+
+def smallest_irreducibles(B, d, count=2):
+    """The first `count` monic irreducibles of degree d over B, by index."""
+    out = []
+    for tail in itertools.product(range(B.Q), repeat=d):
+        f = Polynomial(B, tail[::-1] + (1,))
+        if is_irreducible(f):
+            out.append(f)
+            if len(out) == count:
+                return out
+    raise AssertionError("too few irreducibles")
+
+
+def verdict_from_classes(classes, chi):
+    return any((mult * chi.index) % order != 0 for mult, order in classes)
+
+
+def test_root_profile_two_irreducible_quadratics_over_f9():
+    # (x**2 + ...)(x**2 + ...) with no root in GF(9): both quadratics split
+    # in GF(81), whose four roots generate GF(81) over GF(3)
+    f3, f9 = make_field(3, 1), make_field(3, 2)
+    f = Polynomial(f9, (1, 0, 6, 0, 1))
+    classes, shortcut = charsum._root_profile(f, f3, DEFAULT_CAP)
+    assert sorted(classes) == [(1, 8)] * 4 and shortcut is False
+    assert sorted(classes) == profile_by_enumeration(f, f3)
+    for j in range(1, 8):
+        assert weil_applicability(make_character(f9, j), f, f3).applicable is True
+
+
+# (p, k of the base field, m = [B : base], largest degree); GF(B.Q**deg)
+# fits the cap, and GF(9) stops at degree 5 to keep the oracle quick
+PROFILE_CELLS = [(2, 1, 2, 6), (2, 1, 3, 6), (3, 1, 1, 6), (3, 1, 2, 5), (5, 1, 1, 6), (2, 2, 1, 6)]
+
+
+@pytest.mark.parametrize("p,k,m,max_deg", PROFILE_CELLS)
+def test_root_profile_matches_enumeration_degrees_4_to_6(p, k, m, max_deg):
+    base, B = make_field(p, k), make_field(p, k * m)
+    rng = random.Random(p * 100 + k * 10 + m)
+    # products of irreducibles of degree 2 and 3; two of one degree share a
+    # distinct-degree component
+    q2, q3 = smallest_irreducibles(B, 2), smallest_irreducibles(B, 3)
+    polys = [q2[0] * q2[1], q2[0] * q3[0]]
+    if max_deg >= 6:
+        polys.append(q3[0] * q3[1])
+    for _ in range(12):
+        deg = rng.randint(4, max_deg)
+        if rng.random() < 0.5:
+            f = Polynomial(B, [rng.randrange(B.Q) for _ in range(deg)] + [rng.randrange(1, B.Q)])
+        else:  # a product of small factors, so repeated and same-degree factors occur
+            f = Polynomial(B, (rng.randrange(1, B.Q),))
+            while f.degree() < deg:
+                d = rng.randint(1, min(3, deg - f.degree()))
+                f = f * Polynomial(B, [rng.randrange(B.Q) for _ in range(d)] + [1])
+        polys.append(f)
+    for f in polys:
+        classes, shortcut = charsum._root_profile(f, base, DEFAULT_CAP)
+        want = profile_by_enumeration(f, base)
+        assert sorted(classes) == want and shortcut is False, f
+        for idx in rng.sample(range(1, B.Q - 1), min(6, B.Q - 2)):
+            chi = make_character(B, idx)
+            assert weil_applicability(chi, f, base).applicable is verdict_from_classes(want, chi), (f, idx)
+
+
+@pytest.mark.parametrize("p,k,m", [(3, 1, 2), (2, 1, 2), (2, 1, 3), (5, 1, 1)])
+def test_beyond_cap_shortcut_agrees_with_default_cap(p, k, m):
+    # with the cap below GF(B.Q**2) or GF(B.Q**3), factors of degree >= 2 or
+    # >= 3 are beyond it: a decided verdict there must equal the enumerated
+    # one at the default cap, and undecided (None) must be all it says else
+    base, B = make_field(p, k), make_field(p, k * m)
+    rng = random.Random(7 * p + m)
+    # two irreducible quadratics: their product and a square leave nothing
+    # the shortcut may certify, so those draws are undecided beyond the cap
+    quad = smallest_irreducibles(B, 2)
+    polys = [quad[0] * quad[1], quad[0] * quad[0]]
+    for _ in range(40):
+        deg = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            f = Polynomial(B, [rng.randrange(B.Q) for _ in range(deg)] + [rng.randrange(1, B.Q)])
+        else:
+            f = Polynomial(B, (1,))
+            while f.degree() < deg:
+                d = rng.randint(1, min(2, deg - f.degree()))
+                f = f * Polynomial(B, [rng.randrange(B.Q) for _ in range(d)] + [1])
+        polys.append(f)
+    seen = {"shortcut_true": 0, "undecided": 0}
+    for f in polys:
+        full, _ = charsum._root_profile(f, base, DEFAULT_CAP)
+        for cap in (B.Q**2 - 1, B.Q**3 - 1):
+            classes, _ = charsum._root_profile(f, base, cap)
+            for idx in range(1, B.Q - 1):
+                chi = make_character(B, idx)
+                got = weil_applicability(chi, f, base, cap=cap)
+                want = weil_applicability(chi, f, base).applicable
+                assert want is verdict_from_classes(full, chi)
+                if got.applicable is None:
+                    seen["undecided"] += 1
+                    assert got.undecided_classes > 0
+                else:
+                    assert got.applicable is want, (f, cap, idx)
+                    if got.applicable and got.shortcut_used:
+                        seen["shortcut_true"] += 1
+            if any(mult == 1 and order == B.Q - 1 for mult, order in classes):
+                # the shortcut certifies a norm image of all of B*, which the
+                # enumeration must confirm for some root
+                assert (1, B.Q - 1) in full
+    assert seen["shortcut_true"] > 0 and seen["undecided"] > 0, seen
 
 
 # -- r-free indicators ----------------------------------------------------------

@@ -5,6 +5,8 @@ The main oracle is a naive mod-p polynomial arithmetic written here from
 scratch; small fields are compared against it exhaustively.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,21 @@ def test_add_matches_naive_exhaustive(p, k):
             pb = idx_to_poly(b, p, k)
             want = poly_to_idx([(x + y) % p for x, y in zip(pa, pb)], p)
             assert fd.add_idx(a, b) == want
+
+
+@pytest.mark.parametrize("p,k", [(3, 9), (101, 2), (11, 4), (5, 4), (3, 2), (7, 1)])
+def test_scalar_add_sub_neg_match_digit_oracle(p, k):
+    # the digit loops run on fields above the LUT cap; the small ones check
+    # sub_idx and neg_idx, which never use the LUT
+    fd = make_field(p, k)
+    rng = random.Random(p * 100 + k)
+    pairs = [(0, 0), (fd.Q - 1, fd.Q - 1), (0, fd.Q - 1), (fd.Q - 1, 1)]
+    pairs += [(rng.randrange(fd.Q), rng.randrange(fd.Q)) for _ in range(500)]
+    for a, b in pairs:
+        pa, pb = idx_to_poly(a, p, k), idx_to_poly(b, p, k)
+        assert fd.add_idx(a, b) == poly_to_idx([(x + y) % p for x, y in zip(pa, pb)], p)
+        assert fd.sub_idx(a, b) == poly_to_idx([(x - y) % p for x, y in zip(pa, pb)], p)
+        assert fd.neg_idx(b) == poly_to_idx([(-y) % p for y in pb], p)
 
 
 def test_field_axioms_f9():

@@ -2,15 +2,23 @@
 criteria, squarefree parts, roots in extensions.
 
 Irreducibility oracle: naive trial division by all lower-degree monic
-polynomials, written here from scratch over the index arithmetic.
+polynomials, written here from scratch over the index arithmetic. Root
+oracles: evaluation at every element of the extension (the whole-field
+search that roots_in_extension replaced), and sympy's galoistools over
+prime fields.
 """
 
 import itertools
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import gf_factor
 
 from ffwitness import poly
-from ffwitness.field import make_field, FieldElement
+from ffwitness.field import get_embedding, make_field, FieldElement
 from ffwitness.poly import (
     Polynomial,
     binomial_irreducible_check,
@@ -247,3 +255,99 @@ def test_eq_and_hash():
     assert Polynomial(fd, (1, 2)) == Polynomial(fd, (1, 2, 0))
     assert hash(Polynomial(fd, (1, 2))) == hash(Polynomial(fd, (1, 2, 0)))
     assert Polynomial(fd, (1, 2)) != Polynomial(fd, (2, 2))
+
+
+def roots_by_evaluation(f, ext):
+    """(root index, multiplicity) pairs of f in ext, from evaluating f at
+    every element of ext and dividing out each root."""
+    emb = get_embedding(f.field, ext)
+    g = Polynomial(ext, [emb.map_idx(c) for c in f.coeffs])
+    vals = ext.eval_poly_vec(list(g.coeffs), ext.all_indices())
+    out = []
+    for r in np.nonzero(vals == 0)[0].tolist():
+        lin = Polynomial(ext, (ext.neg_idx(r), 1))
+        mult, cur = 0, g
+        while True:
+            quo, rem = divmod(cur, lin)
+            if not rem.is_zero():
+                break
+            mult, cur = mult + 1, quo
+        out.append((r, mult))
+    return out
+
+
+def root_pairs(f, ext):
+    return [(e.idx, m) for e, m in roots_in_extension(f, ext)]
+
+
+# (p, k of the coefficient field, K of the extension): p = 2 and odd p,
+# prime and non-prime coefficient fields, ext equal to and larger than it
+ROOT_CELLS = [(2, 1, 1), (2, 1, 5), (2, 2, 4), (2, 3, 6), (3, 1, 1), (3, 1, 4),
+              (3, 2, 4), (5, 1, 3), (7, 2, 2), (11, 2, 4), (101, 1, 2)]
+
+
+@pytest.mark.parametrize("p,k,K", ROOT_CELLS)
+def test_roots_in_extension_matches_whole_field_evaluation(p, k, K):
+    B, E = make_field(p, k), make_field(p, K)
+    rng = random.Random(p * 1000 + k * 10 + K)
+    polys = []
+    for _ in range(25):
+        deg = rng.randint(1, 6)
+        polys.append(Polynomial(B, [rng.randrange(B.Q) for _ in range(deg)] + [rng.randrange(1, B.Q)]))
+    for _ in range(15):  # products of linear factors, repeats likely
+        f = Polynomial(B, (rng.randrange(1, B.Q),))
+        for _ in range(rng.randint(1, 5)):
+            f = f * Polynomial(B, (rng.randrange(B.Q), 1))
+        polys.append(f)
+    a = rng.randrange(B.Q)
+    lin = Polynomial(B, (B.neg_idx(a), 1))
+    power = Polynomial(B, (1,))
+    for _ in range(p):
+        power = power * lin
+    polys.append(power)  # (x - a)**p: zero derivative, one root of multiplicity p
+    polys.append(Polynomial(B, (rng.randrange(1, B.Q),)))  # a nonzero constant
+    # x**q - x: every root in the subfield B, each once
+    polys.append(Polynomial(B, (0,) * B.Q + (1,)) - Polynomial.x(B))
+    for f in polys:
+        assert root_pairs(f, E) == roots_by_evaluation(f, E), f
+
+
+def test_roots_in_extension_edge_cases():
+    f9 = make_field(3, 2)
+    f3 = make_field(3, 1)
+    # x**q - x splits into every element of the field, each once
+    xq = Polynomial(f9, (0, f9.neg_idx(1)) + (0,) * 7 + (1,))
+    assert root_pairs(xq, f9) == [(a, 1) for a in range(9)]
+    assert root_pairs(Polynomial(f9, (5,)), f9) == []
+    assert root_pairs(Polynomial(f3, (1, 0, 1)), f3) == []  # x**2 + 1 has no root in GF(3)
+    cube = Polynomial(f3, (1, 1)) * Polynomial(f3, (1, 1)) * Polynomial(f3, (1, 1))
+    assert root_pairs(cube, f9) == [(2, 3)]  # (x + 1)**3
+    f16 = make_field(2, 4)
+    x16 = Polynomial(f16, (0, 1) + (0,) * 14 + (1,))
+    assert root_pairs(x16, f16) == [(a, 1) for a in range(16)]
+    with pytest.raises(ValueError):
+        roots_in_extension(Polynomial(f9, ()), f9)
+
+
+def sympy_roots(coeffs, p):
+    """Roots with multiplicities of a polynomial over GF(p) (constant term
+    first) from sympy's factorization: the linear factors x + c."""
+    _, factors = gf_factor([ZZ(c) for c in reversed(coeffs)], p, ZZ)
+    out = {}
+    for fac, mult in factors:
+        if len(fac) == 2:  # monic x + c
+            r = int(-fac[1]) % p
+            out[r] = out.get(r, 0) + mult
+    return sorted(out.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13, 31]),
+    data=st.data(),
+)
+def test_roots_in_extension_matches_sympy_over_prime_fields(p, data):
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8))
+    coeffs.append(data.draw(st.integers(1, p - 1)))
+    fd = make_field(p, 1)
+    assert root_pairs(Polynomial(fd, coeffs), fd) == sympy_roots(coeffs, p)
