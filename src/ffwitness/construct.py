@@ -544,7 +544,9 @@ def survey_rows(
 ) -> list[dict]:
     """One pipeline run per prime power in [q_min, q_max]; rows where d does
     not divide q**h - 1 or the field exceeds the cap are recorded, not
-    dropped."""
+    dropped. Raises ValueError for d < 1."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     rows = []
     for q in nt.prime_powers_in(q_min, q_max):
         p, k = nt.is_prime_power(q)
@@ -609,10 +611,28 @@ def audit_bounds_rows(q_max: int, h: int = 2) -> list[dict]:
 # report re-verification
 
 
+_REPORT_KEYS = (
+    "big_field", "base_field", "spec", "set_indices", "cardinality", "conditions",
+    "certificate", "mode", "verified",
+)
+_SPEC_KEYS = ("p", "k", "h", "d", "t", "r", "alpha", "e")
+
+
+def _require_keys(obj, keys: tuple[str, ...], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
+
+
 def verify_report(report: dict, *, cap: int | None = None) -> tuple[bool, list[str]]:
     """Recompute a saved report from its spec: rebuild both fields (refusing
     descriptor drift), rebuild S, re-run the conditions and the certificate.
-    Returns (ok, problems)."""
+    Returns (ok, problems). Raises ValueError when the report is not a
+    JSON object holding every field this check reads."""
+    _require_keys(report, _REPORT_KEYS, "report")
+    _require_keys(report["spec"], _SPEC_KEYS, "report spec")
     problems: list[str] = []
     try:
         big = field_from_json(report["big_field"], cap=cap)

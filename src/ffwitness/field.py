@@ -4,8 +4,20 @@ The modulus and the generator are chosen deterministically (minimal index
 encoding), so two fields built from the same (p, k) are identical. An element
 is stored as its index sum(c_i * p**i); arithmetic goes through discrete
 exp/log tables when they are present and through polynomial arithmetic
-otherwise. Descriptors are immutable after construction and safe to share
-across threads.
+otherwise.
+
+The vector kernels (``*_vec``) index the numpy tables. The scalar ops
+(``*_idx``) read the same tables through memoryviews, which share their
+memory and return Python ints. Odd-p scalar addition (above the 256-element
+LUTs) and subtraction use Zech logarithms, Z[j] = log(1 + g**j)
+(Lidl-Niederreiter, Finite Fields, ch. 10): g**a + g**b = g**(a + Z[b - a]).
+The Zech table is built from the exp table the first time a scalar addition
+or a polynomial product or division (see ``poly``) needs it, so fields that
+only run vector kernels never hold one.
+
+Descriptors are immutable after construction, apart from that lazily built
+Zech table, whose build is idempotent; they are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -126,7 +138,8 @@ class FieldDescriptor:
 
     __slots__ = (
         "p", "k", "Q", "modulus", "generator_index", "_key", "_red_rows",
-        "_exp", "_log", "_pp", "_pp_np", "_add_lut", "_mul_lut",
+        "_exp", "_log", "_expv", "_logv", "_zech", "_pp", "_pp_np",
+        "_add_lut", "_mul_lut",
     )
 
     def __init__(self, p: int, k: int, cap: int, tables: bool):
@@ -143,6 +156,9 @@ class FieldDescriptor:
         self._red_rows = self._reduction_rows()
         self._exp = None
         self._log = None
+        self._expv = None
+        self._logv = None
+        self._zech = None
         self._add_lut = None
         self._mul_lut = None
         self.generator_index = self._find_generator()
@@ -206,6 +222,22 @@ class FieldDescriptor:
         log.flags.writeable = False
         self._exp = exp
         self._log = log
+        # indexing a memoryview gives a Python int, several times faster
+        # than a numpy scalar read, and shares the arrays' memory
+        self._expv = memoryview(exp)
+        self._logv = memoryview(log)
+
+    def zech_table(self) -> memoryview:
+        """Z[j] = log(1 + g**j) for 0 <= j < Q - 1, with -1 where
+        1 + g**j = 0, built on first use. Needs the log tables."""
+        if self._zech is None:
+            self._require_tables()
+            # stored in the smallest signed type holding -Q .. Q - 1, so
+            # 2 bytes an entry on fields of up to 2**15 elements
+            zech = self.log_vec(self.add_vec(self._exp, np.int64(1))).astype(np.min_scalar_type(-self.Q))
+            zech.flags.writeable = False
+            self._zech = memoryview(zech)
+        return self._zech
 
     def _exp_by_matmul(self) -> np.ndarray:
         """The exp table for any p: the digit vectors of g**j, a block of
@@ -334,17 +366,42 @@ class FieldDescriptor:
             return self._add_lut[a][b]
         if self.p == 2:
             return a ^ b
-        return self._add_digits(a, b)
+        if self._exp is None:
+            return self._add_digits(a, b)
+        if not (a and b):
+            return a or b
+        # g**la + g**lb = g**la * (1 + g**(lb - la)) = g**(la + Z[lb - la])
+        n = self.Q - 1
+        zech = self._zech if self._zech is not None else self.zech_table()
+        la = self._logv[a]
+        z = zech[(self._logv[b] - la) % n]
+        return self._expv[(la + z) % n] if z >= 0 else 0
 
     def neg_idx(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        return self._sub_digits(0, a)
+        if self._exp is None:
+            return self._sub_digits(0, a)
+        # -1 = g**((Q-1)/2)
+        n = self.Q - 1
+        return self._expv[(self._logv[a] + n // 2) % n]
 
     def sub_idx(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        return self._sub_digits(a, b)
+        if self._exp is None:
+            return self._sub_digits(a, b)
+        if not b:
+            return a
+        n = self.Q - 1
+        neg_lb = self._logv[b] + n // 2  # a log of -b
+        if not a:
+            return self._expv[neg_lb % n]
+        # a - b = a + (-b), as in add_idx
+        zech = self._zech if self._zech is not None else self.zech_table()
+        la = self._logv[a]
+        z = zech[(neg_lb - la) % n]
+        return self._expv[(la + z) % n] if z >= 0 else 0
 
     def _mul_poly(self, a: int, b: int) -> int:
         p, k = self.p, self.k
@@ -369,7 +426,7 @@ class FieldDescriptor:
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
-            return int(self._exp[(self._log[a] + self._log[b]) % (self.Q - 1)])
+            return self._expv[(self._logv[a] + self._logv[b]) % (self.Q - 1)]
         return self._mul_poly(a, b)
 
     def _pow_poly(self, a: int, e: int) -> int:
@@ -391,14 +448,14 @@ class FieldDescriptor:
             raise ZeroDivisionError("zero to a negative power")
         e %= self.Q - 1
         if self._exp is not None:
-            return int(self._exp[(int(self._log[a]) * e) % (self.Q - 1)])
+            return self._expv[(self._logv[a] * e) % (self.Q - 1)]
         return self._pow_poly(a, e)
 
     def inv_idx(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
-            return int(self._exp[(self.Q - 1 - int(self._log[a])) % (self.Q - 1)])
+            return self._expv[-self._logv[a]]  # a negative index wraps mod Q - 1
         return self._pow_poly(a, self.Q - 2)
 
     def log_idx(self, a: int) -> int:
@@ -406,14 +463,14 @@ class FieldDescriptor:
             raise ValueError("discrete log of zero")
         if self._log is None:
             raise MissingLogTable(f"GF({self.Q}) was built without log tables")
-        return int(self._log[a])
+        return self._logv[a]
 
     def mult_order_idx(self, a: int) -> int:
         if a == 0:
             raise ValueError("multiplicative order of zero")
         Qm1 = self.Q - 1
         if self._log is not None:
-            return Qm1 // math.gcd(int(self._log[a]), Qm1)
+            return Qm1 // math.gcd(self._logv[a], Qm1)
         e = Qm1
         for r, _ in nt.factorize(Qm1).factors:
             while e % r == 0 and self.pow_idx(a, e // r) == 1:
@@ -486,6 +543,11 @@ class FieldDescriptor:
             if c:
                 acc = self.add_vec(acc, np.array(c, dtype=np.int64))
         return acc
+
+    def __reduce__(self):
+        # memoryviews do not pickle; the construction is deterministic, so a
+        # descriptor travels as its (p, k) and is rebuilt on arrival
+        return _unpickle_field, (self.p, self.k, self.has_tables)
 
     # -- element handles -----------------------------------------------------
 
@@ -640,6 +702,10 @@ def make_field(p: int, k: int, *, cap: int | None = None, tables: bool | None = 
         got = FieldDescriptor(p, k, cap, want_tables)
         _FIELD_CACHE[key] = got
     return got
+
+
+def _unpickle_field(p: int, k: int, tables: bool) -> FieldDescriptor:
+    return make_field(p, k, cap=max(DEFAULT_CAP, p**k), tables=tables)
 
 
 def field_from_json(desc: dict, *, cap: int | None = None) -> FieldDescriptor:

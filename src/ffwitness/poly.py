@@ -1,6 +1,13 @@
 """Polynomials over a constructed field, plus the irreducibility machinery:
 the distinct-degree test, the binomial criterion, composition with x**t,
-value sets, squarefree degree, and root finding in extensions."""
+value sets, squarefree degree, and root finding in extensions.
+
+Over a field with log tables, multiplication and division run in the log
+domain: each coefficient is held as its discrete log (-1 for zero), a
+product of two terms is a sum of logs, and adding a term into a
+coefficient is one read of the field's Zech table. Results of internal
+arithmetic are already valid indices, so they skip the range checks of the
+public constructor."""
 
 from __future__ import annotations
 
@@ -11,6 +18,72 @@ import numpy as np
 
 from . import nt
 from .field import CapExceeded, FieldDescriptor, FieldElement, embed, get_embedding, mult_order
+
+
+# ---------------------------------------------------------------------------
+# log-domain kernels: a polynomial is the list of its coefficient logs,
+# constant first, with -1 for a zero coefficient. Adding g**t into a
+# coefficient g**c makes it g**c * (1 + g**(t - c)) = g**(c + Z[t - c]),
+# with Z the field's Zech table; Z = -1 means the sum is zero.
+
+
+def _log_mul(a: list[int], b: list[int], n: int, zech) -> list[int]:
+    """The product of two polynomials given by coefficient logs, with
+    n = Q - 1."""
+    terms = [(j, y) for j, y in enumerate(b) if y >= 0]
+    acc = [-1] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x >= 0:
+            for j, y in terms:
+                t = (x + y) % n
+                c = acc[i + j]
+                if c < 0:
+                    acc[i + j] = t
+                else:
+                    z = zech[t - c]  # t - c > -n: a negative index wraps mod n
+                    acc[i + j] = (c + z) % n if z >= 0 else -1
+    return acc
+
+
+def _log_divisor(f: "Polynomial") -> tuple[int, int, list[tuple[int, int]]]:
+    """A nonzero divisor f over a field with tables, as (degree, log of the
+    leading coefficient, [(j, log(-f_j / f_lead)) for the nonzero lower f_j])."""
+    fd = f.field
+    n, log = fd.Q - 1, fd._logv
+    lead = log[f.coeffs[-1]]
+    shift = log[fd.neg_idx(1)] - lead
+    return f.degree(), lead, [(j, (log[c] + shift) % n) for j, c in enumerate(f.coeffs[:-1]) if c]
+
+
+def _log_divide(rem: list[int], divisor, n: int, zech) -> list[int]:
+    """Divide rem, given by coefficient logs, by a divisor from _log_divisor:
+    returns the quotient's logs and leaves the remainder in rem[:degree]
+    (the entries above it are left stale)."""
+    db, lead, terms = divisor
+    quo = [-1] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c >= 0:
+            # subtracting q * f, q = g**c / f_lead, clears position i exactly
+            # and adds g**c * (-f_j / f_lead) below it
+            base = i - db
+            quo[base] = (c - lead) % n
+            for j, y in terms:
+                t = (c + y) % n
+                r = rem[base + j]
+                if r < 0:
+                    rem[base + j] = t
+                else:
+                    z = zech[t - r]  # as in _log_mul
+                    rem[base + j] = (r + z) % n if z >= 0 else -1
+    return quo
+
+
+def _log_mulmod(a: list[int], b: list[int], divisor, n: int, zech) -> list[int]:
+    """a * b reduced modulo a divisor from _log_divisor, all in logs."""
+    prod = _log_mul(a, b, n, zech)
+    _log_divide(prod, divisor, n, zech)
+    return prod[: divisor[0]]
 
 
 class Polynomial:
@@ -37,6 +110,27 @@ class Polynomial:
             idxs.pop()
         self.field = fd
         self.coeffs = tuple(idxs)
+
+    @classmethod
+    def _trusted(cls, fd: FieldDescriptor, idxs: list[int]) -> "Polynomial":
+        """A polynomial from indices already in range for fd; only trims
+        trailing zeros (in place) and skips the public checks."""
+        while idxs and idxs[-1] == 0:
+            idxs.pop()
+        f = object.__new__(cls)
+        f.field = fd
+        f.coeffs = tuple(idxs)
+        return f
+
+    @classmethod
+    def _from_logs(cls, fd: FieldDescriptor, logs: list[int]) -> "Polynomial":
+        """A polynomial from its coefficient logs, -1 for zero."""
+        exp = fd._expv
+        return cls._trusted(fd, [exp[c] if c >= 0 else 0 for c in logs])
+
+    def _logs(self) -> list[int]:
+        log = self.field._logv
+        return [log[c] for c in self.coeffs]  # log[0] = -1
 
     # -- constructors --------------------------------------------------------
 
@@ -83,7 +177,7 @@ class Polynomial:
         if lead == 1:
             return self
         inv = self.field.inv_idx(lead)
-        return Polynomial(self.field, [self.field.mul_idx(c, inv) for c in self.coeffs])
+        return Polynomial._trusted(self.field, [self.field.mul_idx(c, inv) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -113,11 +207,11 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = fd.add_idx(out[i], c)
-        return Polynomial(fd, out)
+        return Polynomial._trusted(fd, out)
 
     def __neg__(self) -> "Polynomial":
         fd = self.field
-        return Polynomial(fd, [fd.neg_idx(c) for c in self.coeffs])
+        return Polynomial._trusted(fd, [fd.neg_idx(c) for c in self.coeffs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -128,37 +222,44 @@ class Polynomial:
         fd = self.field
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Polynomial(fd, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = fd.add_idx(out[i + j], fd.mul_idx(x, y))
-        return Polynomial(fd, out)
+            return Polynomial._trusted(fd, [])
+        if not fd.has_tables:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            out[i + j] = fd.add_idx(out[i + j], fd.mul_idx(x, y))
+            return Polynomial._trusted(fd, out)
+        prod = _log_mul(self._logs(), other._logs(), fd.Q - 1, fd.zech_table())
+        return Polynomial._from_logs(fd, prod)
 
     def scale(self, c: int | FieldElement) -> "Polynomial":
         fd = self.field
         c_idx = c.idx if isinstance(c, FieldElement) else int(c)
-        return Polynomial(fd, [fd.mul_idx(x, c_idx) for x in self.coeffs])
+        return Polynomial._trusted(fd, [fd.mul_idx(x, c_idx) for x in self.coeffs])
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         fd = self.field
-        rem = list(self.coeffs)
         db = other.degree()
-        inv_lead = fd.inv_idx(other.coeffs[-1])
-        quo = [0] * max(0, len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                q = fd.mul_idx(c, inv_lead)
-                quo[i - db] = q
-                for j in range(db + 1):
-                    rem[i - db + j] = fd.sub_idx(rem[i - db + j], fd.mul_idx(q, other.coeffs[j]))
-        return Polynomial(fd, quo), Polynomial(fd, rem)
+        if not fd.has_tables:
+            rem = list(self.coeffs)
+            inv_lead = fd.inv_idx(other.coeffs[-1])
+            quo = [0] * max(0, len(rem) - db)
+            for i in range(len(rem) - 1, db - 1, -1):
+                c = rem[i]
+                if c:
+                    q = fd.mul_idx(c, inv_lead)
+                    quo[i - db] = q
+                    for j in range(db + 1):
+                        rem[i - db + j] = fd.sub_idx(rem[i - db + j], fd.mul_idx(q, other.coeffs[j]))
+            return Polynomial._trusted(fd, quo), Polynomial._trusted(fd, rem)
+        rem = self._logs()
+        quo = _log_divide(rem, _log_divisor(other), fd.Q - 1, fd.zech_table())
+        return Polynomial._from_logs(fd, quo), Polynomial._from_logs(fd, rem[:db])
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -181,7 +282,7 @@ class Polynomial:
         for i in range(1, len(self.coeffs)):
             scalar = i % p
             out.append(fd.mul_idx(self.coeffs[i], scalar) if scalar else 0)
-        return Polynomial(fd, out)
+        return Polynomial._trusted(fd, out)
 
     def compose_power(self, t: int) -> "Polynomial":
         """f(x**t)."""
@@ -212,17 +313,30 @@ class Polynomial:
 
 
 def poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    """base**e mod mod, by binary powering."""
+    """base**e mod mod, by binary powering. Over a field with tables the
+    products and reductions stay in the log domain throughout."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = Polynomial(mod.field, (1,))
+    fd = mod.field
     acc = base % mod
+    if not fd.has_tables:
+        result = Polynomial._trusted(fd, [1])
+        while e:
+            if e & 1:
+                result = (result * acc) % mod
+            acc = (acc * acc) % mod
+            e >>= 1
+        return result
+    n, zech = fd.Q - 1, fd.zech_table()
+    divisor = _log_divisor(mod)
+    result, acc_logs = [0], acc._logs()  # log(1) = 0
     while e:
         if e & 1:
-            result = (result * acc) % mod
-        acc = (acc * acc) % mod
+            result = _log_mulmod(result, acc_logs, divisor, n, zech)
         e >>= 1
-    return result
+        if e:
+            acc_logs = _log_mulmod(acc_logs, acc_logs, divisor, n, zech)
+    return Polynomial._from_logs(fd, result)
 
 
 def is_irreducible(f: Polynomial) -> bool:

@@ -172,6 +172,43 @@ def test_verify_tampered_exits_1(tmp_path):
     assert result["ok"] is False and result["problems"]
 
 
+def _construct_report(tmp_path):
+    path = tmp_path / "rep.json"
+    run(["construct", "--p", "7", "--k", "1", "--h", "2", "--d", "2", "--out", str(path)])
+    return json.loads(path.read_text())
+
+
+def _without(blob, key):
+    return {k: v for k, v in blob.items() if k != key}
+
+
+# (argv, report written to the verify path or None): malformed input that
+# must exit 2 with one line on stderr
+MALFORMED = {
+    "survey-d-zero": (["survey", "--q-min", "7", "--q-max", "10", "--d", "0"], None),
+    "survey-d-negative": (["survey", "--q-min", "7", "--q-max", "10", "--d", "-3"], None),
+    "verify-top-level-list": (["verify"], lambda rep: [rep]),
+    "verify-no-spec": (["verify"], lambda rep: _without(rep, "spec")),
+    "verify-no-mode": (["verify"], lambda rep: _without(rep, "mode")),
+    "verify-spec-not-object": (["verify"], lambda rep: {**rep, "spec": [1, 2]}),
+    "verify-spec-no-alpha": (["verify"], lambda rep: {**rep, "spec": _without(rep["spec"], "alpha")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(case, tmp_path):
+    argv, make_report = MALFORMED[case]
+    if make_report is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(make_report(_construct_report(tmp_path))))
+        argv = argv + [str(path)]
+    code, out, err = run(argv)
+    assert code == cli.EXIT_BAD_INPUT, (case, code, err)
+    assert out == ""
+    assert err.startswith("bad input: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as exc:
         run(["--help"])

@@ -225,7 +225,7 @@ def test_primitive_set_search_rejects_base_alpha():
         primitive_set_search(7, 2, 1, alpha_index=in_base)
 
 
-@pytest.mark.parametrize("q", [128, 256])
+@pytest.mark.parametrize("q", [128, 256, 997, 2048])
 def test_primitive_count_meets_bound_where_tau_holds(q):
     # criterion 8's cells never satisfy the tau condition, so its
     # count >= bound gate is run here, at (q, n, t) = (q, 2, 1), where it holds

@@ -2,13 +2,19 @@
 embeddings, norms.
 
 The main oracle is a naive mod-p polynomial arithmetic written here from
-scratch; small fields are compared against it exhaustively.
+scratch; small fields are compared against it exhaustively. The scalar ops
+are also checked against sympy's galoistools, modulo each field's stored
+modulus.
 """
 
+import pickle
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_neg, gf_pow_mod, gf_rem, gf_strip, gf_sub
 
 from ffwitness import field, nt
 from ffwitness.field import (
@@ -153,7 +159,7 @@ def test_add_matches_naive_exhaustive(p, k):
 
 @pytest.mark.parametrize("p,k", [(3, 9), (101, 2), (11, 4), (5, 4), (3, 2), (7, 1)])
 def test_scalar_add_sub_neg_match_digit_oracle(p, k):
-    # the digit loops run on fields above the LUT cap; the small ones check
+    # Zech addition runs on fields above the LUT cap; the small ones check
     # sub_idx and neg_idx, which never use the LUT
     fd = make_field(p, k)
     rng = random.Random(p * 100 + k)
@@ -424,6 +430,16 @@ def test_discrete_log_matches_brute():
         assert f7.pow_idx(g, n) == a
 
 
+def test_descriptor_pickles_as_the_cached_field():
+    fd = make_field(101, 2)
+    fd.add_idx(5, 7)  # builds the Zech table
+    assert pickle.loads(pickle.dumps(fd)) is fd
+    slow = make_field(3, 2, tables=False)
+    clear_field_cache()
+    got = pickle.loads(pickle.dumps(slow))
+    assert got is not slow and got.to_json() == slow.to_json() and not got.has_tables
+
+
 def test_field_cache_identity():
     a = make_field(3, 2)
     b = make_field(3, 2)
@@ -431,3 +447,80 @@ def test_field_cache_identity():
     clear_field_cache()
     c = make_field(3, 2)
     assert c is not a and c.modulus == a.modulus
+
+
+# (p, k, tables): p = 2 and odd p on both sides of the 256-element LUT cap,
+# and two table-less fields, which take the digit loops
+ORACLE_FIELDS = [
+    (2, 3, True), (2, 8, True), (2, 12, True), (7, 2, True), (3, 5, True),
+    (257, 1, True), (101, 2, True), (3, 9, True), (3, 5, False), (101, 2, False),
+]
+
+
+def _gf(fd, idx):
+    """galoistools form of an element: its coefficients, highest first."""
+    digits = []
+    for _ in range(fd.k):
+        idx, c = divmod(idx, fd.p)
+        digits.append(ZZ(c))
+    return gf_strip(digits[::-1])
+
+
+def _idx(fd, g):
+    return sum(int(c) * fd.p**i for i, c in enumerate(reversed(g)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=st.sampled_from(ORACLE_FIELDS), data=st.data())
+def test_scalar_ops_match_galoistools(cell, data):
+    p, k, tables = cell
+    fd = make_field(p, k, tables=tables)
+    mod = [ZZ(c) for c in reversed(fd.modulus)]
+    elem = st.one_of(st.just(0), st.just(1), st.integers(0, fd.Q - 1))
+    a, b = data.draw(elem), data.draw(elem)
+    e = data.draw(st.integers(-2 * fd.Q, 2 * fd.Q))
+    # zero operands, and a + (-a) = 0, which the Zech table marks with -1
+    for x, y in [(a, b), (0, b), (a, 0), (a, fd.neg_idx(a)), (a, a)]:
+        gx, gy = _gf(fd, x), _gf(fd, y)
+        assert fd.add_idx(x, y) == _idx(fd, gf_add(gx, gy, p, ZZ))
+        assert fd.sub_idx(x, y) == _idx(fd, gf_sub(gx, gy, p, ZZ))
+        assert fd.mul_idx(x, y) == _idx(fd, gf_rem(gf_mul(gx, gy, p, ZZ), mod, p, ZZ))
+    assert fd.add_idx(a, fd.neg_idx(a)) == 0
+    assert fd.neg_idx(a) == _idx(fd, gf_neg(_gf(fd, a), p, ZZ))
+    if a == 0:
+        with pytest.raises(ZeroDivisionError):
+            fd.inv_idx(a)
+        if e < 0:
+            with pytest.raises(ZeroDivisionError):
+                fd.pow_idx(a, e)
+        else:
+            assert fd.pow_idx(a, e) == (1 if e == 0 else 0)
+        return
+    s, _, h = gf_gcdex(_gf(fd, a), mod, p, ZZ)
+    assert h == [1]
+    inv = gf_rem(s, mod, p, ZZ)
+    assert fd.inv_idx(a) == _idx(fd, inv)
+    base = _gf(fd, a) if e >= 0 else inv
+    assert fd.pow_idx(a, e) == _idx(fd, gf_pow_mod(base, abs(e), mod, p, ZZ))
+    if tables:
+        j = fd.log_idx(a)
+        assert 0 <= j < fd.Q - 1
+        assert _gf(fd, a) == gf_pow_mod(_gf(fd, fd.generator_index), j, mod, p, ZZ)
+
+
+def test_zech_table_is_built_on_first_scalar_addition():
+    # fields that only run vector kernels, multiply or negate never hold one
+    clear_field_cache()
+    fd = make_field(101, 2)
+    idx = fd.all_indices()
+    fd.sub_vec(fd.add_vec(idx, idx), fd.mul_vec(idx, idx))
+    fd.mul_idx(5, 7)
+    fd.neg_idx(5)
+    assert fd._zech is None
+    fd.add_idx(5, 7)
+    zech = fd.zech_table()
+    assert fd._zech is zech
+    n = fd.Q - 1
+    # 1 + g**j = 0 exactly at g**j = -1, j = n/2
+    assert len(zech) == n and [j for j in range(n) if zech[j] < 0] == [n // 2]
+    clear_field_cache()

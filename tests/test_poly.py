@@ -1,8 +1,9 @@
 """Polynomial layer: arithmetic, irreducibility, the binomial and composition
 criteria, squarefree parts, roots in extensions.
 
-Irreducibility oracle: naive trial division by all lower-degree monic
-polynomials, written here from scratch over the index arithmetic. Root
+Irreducibility oracles: naive trial division by all lower-degree monic
+polynomials, written here from scratch over the index arithmetic, and
+sympy's galoistools over prime fields. Root
 oracles: evaluation at every element of the extension (the whole-field
 search that roots_in_extension replaced), and sympy's galoistools over
 prime fields.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_factor
+from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 from ffwitness import poly
 from ffwitness.field import get_embedding, make_field, FieldElement
@@ -58,6 +59,18 @@ def test_construction_trims_and_rejects():
     assert Polynomial(fd, (0,)).is_zero()
     assert Polynomial.x(fd).coeffs == (0, 1)
     assert Polynomial.constant(fd, 5).coeffs == (5,)
+
+
+def test_public_constructor_rejects_bad_coefficients():
+    # internal arithmetic skips these checks; the public constructor keeps them
+    fd = make_field(7, 2)
+    for bad in [(fd.Q,), (1, fd.Q + 5), (-1,), (3, -2, 1)]:
+        with pytest.raises(ValueError):
+            Polynomial(fd, bad)
+    other = make_field(7, 1)
+    with pytest.raises(ValueError):
+        Polynomial(fd, (FieldElement(fd, 2), FieldElement(other, 1)))
+    assert Polynomial(fd, (FieldElement(fd, 2), fd.Q - 1, 0)).coeffs == (2, fd.Q - 1)
 
 
 def test_binomial_builder():
@@ -124,6 +137,29 @@ def test_poly_powmod_matches_repeated_mul():
     for e in range(8):
         assert poly_powmod(x, e, f) == acc % f
         acc = acc * x
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (7, 2), (3, 5), (257, 1), (101, 2), (2, 12)])
+def test_log_domain_arithmetic_matches_index_loops(p, k):
+    # the table-less copy of a field (same modulus, so equal polynomials
+    # compare equal) runs products and divisions index by index
+    fast, slow = make_field(p, k), make_field(p, k, tables=False)
+    rng = random.Random(100 * p + k)
+
+    def pair(coeffs):
+        return Polynomial(fast, coeffs), Polynomial(slow, coeffs)
+
+    for _ in range(40):
+        a = pair([rng.randrange(fast.Q) for _ in range(rng.randint(0, 6))])
+        b = pair([rng.randrange(fast.Q) for _ in range(rng.randint(0, 4))] + [rng.randrange(1, fast.Q)])
+        c = pair([rng.randrange(fast.Q) for _ in range(rng.randint(1, 4))])
+        e = rng.randrange(3 * fast.Q)
+        # b * c divided by b cancels every remainder term
+        for f, g in [(a[0], a[1]), (b[0] * c[0], b[1] * c[1])]:
+            assert f * b[0] == g * b[1]
+            assert divmod(f, b[0]) == divmod(g, b[1])
+            assert poly_powmod(f, e, b[0]) == poly_powmod(g, e, b[1])
+        assert (b[0] * c[0]) % b[0] == Polynomial(fast, ())
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (2, 2)])
@@ -351,3 +387,25 @@ def test_roots_in_extension_matches_sympy_over_prime_fields(p, data):
     coeffs.append(data.draw(st.integers(1, p - 1)))
     fd = make_field(p, 1)
     assert root_pairs(Polynomial(fd, coeffs), fd) == sympy_roots(coeffs, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13, 257]),
+    data=st.data(),
+)
+def test_is_irreducible_matches_sympy_over_prime_fields(p, data):
+    # about a third of the random inputs are irreducible; a product of two
+    # adds reducible inputs that may have no root, like two quadratics. On
+    # GF(257), above the LUT cap, every step runs through the Zech table
+    fd = make_field(p, 1)
+
+    def draw_poly(max_degree):
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=max_degree))
+        return Polynomial(fd, coeffs + [data.draw(st.integers(1, p - 1))])
+
+    f = draw_poly(8)
+    if data.draw(st.booleans()):
+        f = draw_poly(4) * draw_poly(4)
+    want = gf_irreducible_p([ZZ(c) for c in reversed(f.coeffs)], p, ZZ)
+    assert is_irreducible(f) == want
