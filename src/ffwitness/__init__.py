@@ -6,7 +6,6 @@ from .field import (
     DEFAULT_CAP,
     FieldDescriptor,
     FieldElement,
-    MissingLogTable,
     discrete_log,
     embed,
     frobenius,

@@ -27,6 +27,7 @@ from .field import (
     FieldElement,
     get_embedding,
     make_field,
+    make_field_pair,
     mult_order,
     register_cache_hook,
 )
@@ -90,10 +91,7 @@ class Character:
 
 
 def make_character(fd: FieldDescriptor, index: int) -> Character:
-    """Character with the given exponent index, 0 <= index < Q-1. Needs the
-    field's log tables."""
-    if not fd.has_tables:
-        raise ValueError(f"GF({fd.Q}) was built without log tables; characters need them")
+    """Character with the given exponent index, 0 <= index < Q-1."""
     if not 0 <= index < fd.Q - 1:
         raise ValueError(f"character index {index} out of range [0, {fd.Q - 1})")
     return Character(fd, index)
@@ -220,13 +218,9 @@ def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple
                 if comp.degree() == 0:
                     continue
                 rem = rem // comp
-            _process_component(fm, comp, i, B, base, cap, classes)
+            shortcut_used |= _process_component(fm, comp, i, B, base, cap, classes)
 
-    # _process_component marks its shortcut-certified classes with
-    # multiplicity -1 (the actual multiplicity there is 1)
-    shortcut_used = any(mlt == -1 for mlt, _ in classes)
-    cleaned = tuple((1 if mlt == -1 else mlt, M) for mlt, M in classes)
-    got = (cleaned, shortcut_used)
+    got = (tuple(classes), shortcut_used)
     _PROFILE_CACHE[key] = got
     return got
 
@@ -239,8 +233,10 @@ def _process_component(
     base: FieldDescriptor,
     cap: int,
     classes: list,
-) -> None:
-    """Handle the product comp of irreducible factors of degree exactly i."""
+) -> bool:
+    """Handle the product comp of irreducible factors of degree exactly i,
+    appending its root classes; returns whether the simple-root shortcut
+    certified one of them."""
     q = base.Q
     m = B.k // base.k
     p = B.p
@@ -251,7 +247,7 @@ def _process_component(
                 continue  # lives in a smaller level, classified there
             j = _frobenius_degree(ext, zeta.idx, q, m * i)
             classes.append((mult, _norm_image_order(ext, B.Q, q, j)))
-        return
+        return False
     if comp.degree() == i:
         # a single irreducible factor; the shortcut needs a simple root whose
         # field GF(q)(zeta) is all of B[zeta]
@@ -267,12 +263,13 @@ def _process_component(
                 break
         if mult == 1 and j == m * i:
             # norm of B[zeta]* onto B* is surjective, so the image is all of B*
-            classes.append((-1, B.Q - 1))  # -1 marks the shortcut; multiplicity is 1
-        else:
-            classes.append((mult, None))
+            classes.append((1, B.Q - 1))
+            return True
+        classes.append((mult, None))
     else:
         # several inseparable-to-us factors of degree i beyond the cap
         classes.append((None, None))
+    return False
 
 
 def weil_applicability(
@@ -313,15 +310,10 @@ def incomplete_char_sum(
     B = chi.field
     emb = get_embedding(base, B)
     points = np.array(emb.image_indices(), dtype=np.int64)
-    vals = B.eval_poly_vec(f.coeffs, points) if B.has_tables else None
-    if vals is None:
-        total = 0j
-        for a in points:
-            total += chi(int(f.eval_idx(int(a))))
-    else:
-        logs = B.log_vec(vals)
-        nz = logs >= 0
-        total = complex(_omega(B)[(chi.index * logs[nz]) % (B.Q - 1)].sum())
+    vals = B.eval_poly_vec(f.coeffs, points)
+    logs = B.log_vec(vals)
+    nz = logs >= 0
+    total = complex(_omega(B)[(chi.index * logs[nz]) % (B.Q - 1)].sum())
     w = weil_applicability(chi, f, base, cap=cap)
     return CharSumResult(total, base.Q, w.bound, w.applicable, m, w.D)
 
@@ -409,12 +401,11 @@ def weil_audit_instances(
     """Draw seeded random (chi, f) pairs over GF(q**m) until `count` of them
     have applicability True; every draw is kept and reported. Deterministic
     for a fixed seed."""
-    pk = nt.is_prime_power(q)
-    if pk is None:
-        raise ValueError(f"{q} is not a prime power")
-    p, k = pk
-    base = make_field(p, k, cap=cap)
-    B = make_field(p, k * m, cap=cap)
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    base, B = make_field_pair(q, m, cap=cap)
+    if B.Q == 2:
+        raise ValueError(f"q**m = {q}**{m} = 2: GF(2) has no nontrivial character; need q**m >= 3")
     rng = random.Random(seed)
     rows: list[WeilAuditRow] = []
     applicable = 0

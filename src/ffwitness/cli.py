@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hm.add_argument("--p-list", default="3,5,7", help="comma-separated odd primes")
     hm.set_defaults(fn=_cmd_hm_check)
 
-    v = sub.add_parser("verify", parents=[common], help="re-check a saved construction report")
+    v = sub.add_parser("verify", parents=[common], help="rerun the pipeline behind a saved report and compare")
     v.add_argument("report", help="path to a report JSON file")
     v.set_defaults(fn=_cmd_verify)
 

@@ -5,6 +5,7 @@ search, plus exhaustive desk checks of the neighboring statements."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -16,10 +17,10 @@ from .field import (
     CapExceeded,
     FieldDescriptor,
     FieldElement,
-    field_from_json,
     get_embedding,
     is_dth_power,
     make_field,
+    make_field_pair,
 )
 from .poly import Polynomial, is_irreducible
 
@@ -100,22 +101,22 @@ class ConstructionReport:
 
 
 def build_set(alpha: FieldElement, t: int, base: FieldDescriptor) -> set[FieldElement]:
-    """S = {alpha - x**t : x in the embedded base field}; the cardinality is
-    always 1 + (q-1)/gcd(t, q-1)."""
+    """S = {alpha - x**t : x in the embedded base field}. The cardinality is
+    always 1 + (q-1)/gcd(t, q-1); any other size means the arithmetic is
+    broken and raises RuntimeError."""
     if t < 1:
         raise ValueError("t must be >= 1")
     B = alpha.field
     emb = get_embedding(base, B)
-    if B.has_tables:
-        points = np.array(emb.image_indices(), dtype=np.int64)
-        powered = B.pow_vec(points, t)
-        vals = B.sub_vec(np.full(points.shape, alpha.idx, dtype=np.int64), powered)
-        return {FieldElement(B, int(v)) for v in np.unique(vals)}
-    out = set()
-    for x in range(base.Q):
-        xt = B.pow_idx(emb.map_idx(x), t)
-        out.add(FieldElement(B, B.sub_idx(alpha.idx, xt)))
-    return out
+    points = np.array(emb.image_indices(), dtype=np.int64)
+    powered = B.pow_vec(points, t)
+    vals = B.sub_vec(np.full(points.shape, alpha.idx, dtype=np.int64), powered)
+    S = {FieldElement(B, int(v)) for v in np.unique(vals)}
+    q = base.Q
+    expected = 1 + (q - 1) // math.gcd(t, q - 1)
+    if len(S) != expected:
+        raise RuntimeError(f"set cardinality {len(S)} != {expected}; arithmetic is broken")
+    return S
 
 
 def theorem_conditions_check(spec: ConstructionSpec) -> tuple[bool, bool, bool, bool]:
@@ -125,10 +126,7 @@ def theorem_conditions_check(spec: ConstructionSpec) -> tuple[bool, bool, bool, 
     (3) q**h = 1 mod 4 whenever 4 | t, (4) t*h <= sqrt(q), the last compared
     exactly as t**2 * h**2 <= q."""
     q = spec.q
-    qh = q**spec.h
-    c1 = math.gcd(spec.t, (qh - 1) // spec.e) == 1
-    c2 = all(spec.e % r == 0 for r in nt.factorize(spec.t).prime_divisors())
-    c3 = (qh % 4 == 1) if spec.t % 4 == 0 else True
+    c1, c2, c3 = nt.binomial_conditions(spec.t, q**spec.h, spec.e)
     c4 = spec.t * spec.t * spec.h * spec.h <= q
     return c1, c2, c3, c4
 
@@ -151,18 +149,26 @@ def find_non_dth_power(S, d: int) -> FieldElement | None:
 
 
 def _strict_t(r: int, h: int, q: int) -> int:
-    e = 0
-    while (r ** (e + 1) * h) ** 2 < q:
-        e += 1
-    return r**e
+    # the largest power t of r with t * h < sqrt(q); for integers,
+    # (t * h)**2 < q exactly when (t * h)**2 <= q - 1
+    return r ** nt._max_exponent(r, h, q - 1)
 
 
-def _default_alpha(big: FieldDescriptor, base_image: set[int]) -> int:
-    # the deterministic generator is the minimal-index primitive element and
-    # never lies in the embedded base field (its order exceeds q - 1)
-    if big.generator_index in base_image:
-        raise RuntimeError("generator unexpectedly lies in the base field")
-    return big.generator_index
+def _choose_alpha(big: FieldDescriptor, base: FieldDescriptor, alpha_index: int | None) -> int:
+    """A given alpha index, checked to lie in big outside the embedded base
+    field; by default the deterministic generator."""
+    base_image = set(get_embedding(base, big).image_indices())
+    if alpha_index is None:
+        # the generator is the minimal-index primitive element and never
+        # lies in the embedded base field (its order exceeds q - 1)
+        if big.generator_index in base_image:
+            raise RuntimeError("generator unexpectedly lies in the base field")
+        return big.generator_index
+    if not 0 <= alpha_index < big.Q:
+        raise ValueError(f"alpha index {alpha_index} out of range")
+    if alpha_index in base_image:
+        raise ValueError("alpha must avoid the embedded base field")
+    return alpha_index
 
 
 def construct_pipeline(
@@ -196,23 +202,12 @@ def construct_pipeline(
         if t < 1:
             raise ValueError("forced t must be >= 1")
         r = None
-    emb = get_embedding(base, big)
-    base_image = set(emb.image_indices())
-    if alpha_index is None:
-        alpha_index = _default_alpha(big, base_image)
-    else:
-        if not 0 <= alpha_index < qh:
-            raise ValueError(f"alpha index {alpha_index} out of range")
-        if alpha_index in base_image:
-            raise ValueError("alpha must avoid the embedded base field")
+    alpha_index = _choose_alpha(big, base, alpha_index)
     alpha = FieldElement(big, alpha_index)
     e = big.mult_order_idx(alpha_index)
     spec = ConstructionSpec(p, k, h, d, t, r, alpha_index, e)
     conditions = theorem_conditions_check(spec)
     S = build_set(alpha, t, base)
-    expected = 1 + (q - 1) // math.gcd(t, q - 1)
-    if len(S) != expected:
-        raise RuntimeError(f"set cardinality {len(S)} != {expected}; arithmetic is broken")
     cert = find_non_dth_power(S, d)
     m_h = nt.m_of_h(q, h) if q >= 3 else 1
     t_strict = _strict_t(r, h, q) if r is not None else t
@@ -244,12 +239,7 @@ def coset_power_gcds(q: int, h: int, t: int, *, cap: int | None = None) -> np.nd
     entry 1 certifies a non-d-th power for every d > 1. Entries at alpha in
     the embedded base field (where the coset may contain 0) are not
     meaningful; callers mask them."""
-    pk = nt.is_prime_power(q)
-    if pk is None:
-        raise ValueError(f"{q} is not a prime power")
-    p, k = pk
-    base = make_field(p, k, cap=cap)
-    big = make_field(p, k * h, cap=cap)
+    base, big = make_field_pair(q, h, cap=cap)
     emb = get_embedding(base, big)
     points = np.array(emb.image_indices(), dtype=np.int64)
     powered = np.unique(big.pow_vec(points, t))
@@ -264,9 +254,7 @@ def coset_power_gcds(q: int, h: int, t: int, *, cap: int | None = None) -> np.nd
 
 def base_image_mask(q: int, h: int, *, cap: int | None = None) -> np.ndarray:
     """Boolean mask over GF(q**h) indices marking the embedded GF(q)."""
-    p, k = nt.is_prime_power(q)
-    base = make_field(p, k, cap=cap)
-    big = make_field(p, k * h, cap=cap)
+    base, big = make_field_pair(q, h, cap=cap)
     emb = get_embedding(base, big)
     mask = np.zeros(big.Q, dtype=bool)
     mask[list(emb.image_indices())] = True
@@ -279,25 +267,20 @@ def alpha_density_scan(q: int, h: int, t: int, d: int, *, cap: int | None = None
     {alpha - x**t} actually contain a non-d-th power (certified).
 
     Returns (valid, certified, total)."""
-    p, k = nt.is_prime_power(q)
-    base = make_field(p, k, cap=cap)
-    big = make_field(p, k * h, cap=cap)
+    _, big = make_field_pair(q, h, cap=cap)
     qh = big.Q
     if d < 1 or (qh - 1) % d != 0:
         raise ValueError(f"d = {d} must divide q**h - 1 = {qh - 1}")
     not_base = ~base_image_mask(q, h, cap=cap)
     all_idx = big.all_indices()
     logs = big.log_vec(all_idx)
-    # conditions 1 and 2 vary with alpha through e = ord(alpha)
+    # conditions 1 to 3 vary with alpha only through e = ord(alpha), a
+    # divisor of q**h - 1: decide them once per divisor
     orders = (qh - 1) // np.gcd(np.where(logs < 0, 0, logs), qh - 1)
-    cof = (qh - 1) // orders
-    c1 = np.gcd(np.int64(t), cof) == 1
-    c2 = np.ones(qh, dtype=bool)
-    for r in nt.factorize(t).prime_divisors():
-        c2 &= orders % r == 0
-    c3 = (qh % 4 == 1) if t % 4 == 0 else True
+    divisors = np.array(nt.factorize(qh - 1).divisors(), dtype=np.int64)
+    holds = np.array([all(nt.binomial_conditions(t, qh, int(e))) for e in divisors])
     c4 = t * t * h * h <= q
-    valid_mask = c1 & c2 & bool(c3) & bool(c4) & not_base & (all_idx != 0)
+    valid_mask = holds[np.searchsorted(divisors, orders)] & c4 & not_base & (all_idx != 0)
     g = coset_power_gcds(q, h, t, cap=cap)
     certified_mask = (g % d != 0) & not_base
     total = int(not_base.sum())
@@ -312,12 +295,9 @@ def coulter_kosick_check(q: int, *, cap: int | None = None) -> bool:
     """For every alpha in GF(q**2) outside GF(q): {alpha - x**2 : x in GF(q)}
     contains both a square and a non-square of GF(q**2). Exhaustive over
     alpha. Requires an odd prime power q >= 7."""
-    pk = nt.is_prime_power(q)
-    if pk is None or q % 2 == 0 or q < 7:
+    if q % 2 == 0 or q < 7:
         raise ValueError("q must be an odd prime power >= 7")
-    p, k = pk
-    base = make_field(p, k, cap=cap)
-    big = make_field(p, 2 * k, cap=cap)
+    base, big = make_field_pair(q, 2, cap=cap)
     emb = get_embedding(base, big)
     points = np.array(emb.image_indices(), dtype=np.int64)
     squares = np.unique(big.pow_vec(points, 2))
@@ -402,17 +382,12 @@ def mn_conjecture_search(
     ascending embedded-index order (highest-degree coefficient varying
     fastest); returns the first witness, or None when the exhaustive search
     finds none."""
-    pk = nt.is_prime_power(q)
-    if pk is None:
-        raise ValueError(f"{q} is not a prime power")
     if kk < 1 or l < 1:
         raise ValueError("kk and l must be >= 1")
-    p, k0 = pk
-    K = k0 * kk
-    if q**kk * q ** (l - 1) > budget:
+    sub, big = make_field_pair(q, kk, cap=cap)
+    p, K = big.p, big.k
+    if big.Q * q ** (l - 1) > budget:
         raise CapExceeded(f"candidate count q**kk * q**(l-1) exceeds budget {budget}")
-    big = make_field(p, K, cap=cap)
-    sub = make_field(p, k0, cap=cap)
     emb = get_embedding(sub, big)
     mid_choices = sorted(emb.image_indices())
     max_proper = [K // rr for rr in nt.factorize(K).prime_divisors()]
@@ -457,34 +432,18 @@ def primitive_set_search(
 ) -> ConstructionReport:
     """Count and certify primitive elements of GF(q**n) inside
     S = {alpha - x**t : x in GF(q)}."""
-    pk = nt.is_prime_power(q)
-    if pk is None:
-        raise ValueError(f"{q} is not a prime power")
     if n < 2:
         raise ValueError("n must be >= 2 so that alpha can avoid the base field")
     if t < 1:
         raise ValueError("t must be >= 1")
-    p, k0 = pk
-    base = make_field(p, k0, cap=cap)
-    big = make_field(p, k0 * n, cap=cap)
+    base, big = make_field_pair(q, n, cap=cap)
     qn = big.Q
-    emb = get_embedding(base, big)
-    base_image = set(emb.image_indices())
-    if alpha_index is None:
-        alpha_index = _default_alpha(big, base_image)
-    else:
-        if not 0 <= alpha_index < qn:
-            raise ValueError(f"alpha index {alpha_index} out of range")
-        if alpha_index in base_image:
-            raise ValueError("alpha must avoid the embedded base field")
+    alpha_index = _choose_alpha(big, base, alpha_index)
     alpha = FieldElement(big, alpha_index)
     e = big.mult_order_idx(alpha_index)
-    spec = ConstructionSpec(p, k0, n, None, t, None, alpha_index, e)
+    spec = ConstructionSpec(base.p, base.k, n, None, t, None, alpha_index, e)
     conditions = theorem_conditions_check(spec)
     S = build_set(alpha, t, base)
-    expected = 1 + (base.Q - 1) // math.gcd(t, base.Q - 1)
-    if len(S) != expected:
-        raise RuntimeError(f"set cardinality {len(S)} != {expected}; arithmetic is broken")
     members = sorted(b.idx for b in S)
     qn1 = qn - 1
     prim = [m for m in members if m != 0 and math.gcd(big.log_idx(m), qn1) == 1]
@@ -516,9 +475,7 @@ def primitive_weil_audit(
     nontrivial chi of squarefree order dividing q**n - 1, the sum of
     chi(alpha - x**t) over GF(q) must be applicable and within its bound.
     Returns True / False / None (None when some applicability is unknown)."""
-    p, k0 = nt.is_prime_power(q)
-    base = make_field(p, k0, cap=cap)
-    big = make_field(p, k0 * n, cap=cap)
+    base, big = make_field_pair(q, n, cap=cap)
     f = Polynomial.binomial(big, t, FieldElement(big, alpha_index)).scale(big.neg_idx(1))
     # f = alpha - x**t
     unknown = False
@@ -544,15 +501,18 @@ def survey_rows(
 ) -> list[dict]:
     """One pipeline run per prime power in [q_min, q_max]; rows where d does
     not divide q**h - 1 or the field exceeds the cap are recorded, not
-    dropped. Raises ValueError for d < 1."""
+    dropped. Raises ValueError for d < 1 and h < 1."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
     rows = []
     for q in nt.prime_powers_in(q_min, q_max):
         p, k = nt.is_prime_power(q)
         row: dict = {"q": q, "h": h, "d": d}
         try:
-            if (q**h - 1) % d != 0:
+            # q**h itself can be huge; only its residue mod d is needed
+            if pow(q, h, d) != 1 % d:
                 row["status"] = "skipped: d does not divide q**h - 1"
             else:
                 rep = construct_pipeline(p, k, h, d, cap=cap)
@@ -611,73 +571,61 @@ def audit_bounds_rows(q_max: int, h: int = 2) -> list[dict]:
 # report re-verification
 
 
-_REPORT_KEYS = (
-    "big_field", "base_field", "spec", "set_indices", "cardinality", "conditions",
-    "certificate", "mode", "verified",
-)
-_SPEC_KEYS = ("p", "k", "h", "d", "t", "r", "alpha", "e")
+_NULL = type(None)
+# the JSON type of every key of a report and of its spec, matched exactly
+# (JSON true is a bool, never an int)
+_REPORT_TYPES = {
+    "spec": (dict,), "conditions": (list,), "guaranteed": (bool,), "set_indices": (list,),
+    "cardinality": (int,), "certificate": (int, _NULL), "verified": (bool,), "mode": (str,),
+    "t_strict": (int,), "m_h": (int,), "big_field": (dict,), "base_field": (dict,),
+    "n_actual": (int, _NULL), "n_lower": (float, _NULL), "tau_condition": (bool, _NULL),
+}
+_SPEC_TYPES = {
+    "p": (int,), "k": (int,), "h": (int,), "d": (int, _NULL), "t": (int,), "r": (int, _NULL),
+    "alpha": (int,), "e": (int,),
+}
 
 
-def _require_keys(obj, keys: tuple[str, ...], what: str) -> None:
+def _check_types(obj, types: dict, what: str) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    missing = [key for key in keys if key not in obj]
+    missing = [key for key in types if key not in obj]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(missing)}")
+    for key, kinds in types.items():
+        if type(obj[key]) not in kinds:
+            raise ValueError(f"{what} {key} has the wrong type {type(obj[key]).__name__}")
+
+
+def _canonical(value) -> str:
+    # == would let 1, 1.0 and true stand for one another
+    return json.dumps(value, sort_keys=True)
 
 
 def verify_report(report: dict, *, cap: int | None = None) -> tuple[bool, list[str]]:
-    """Recompute a saved report from its spec: rebuild both fields (refusing
-    descriptor drift), rebuild S, re-run the conditions and the certificate.
-    Returns (ok, problems). Raises ValueError when the report is not a
-    JSON object holding every field this check reads."""
-    _require_keys(report, _REPORT_KEYS, "report")
-    _require_keys(report["spec"], _SPEC_KEYS, "report spec")
-    problems: list[str] = []
-    try:
-        big = field_from_json(report["big_field"], cap=cap)
-        base = field_from_json(report["base_field"], cap=cap)
-    except (ValueError, CapExceeded) as exc:
-        return False, [f"field rebuild failed: {exc}"]
+    """Rerun the pipeline a saved report came from, with its spec and its
+    alpha (and its t when the report forced it, r = null), and compare the
+    whole report with the rerun. Returns (ok, problems), one problem per
+    top-level key that differs. Raises ValueError when the report is not a
+    JSON object of the report's shape or names an invalid construction."""
+    _check_types(report, _REPORT_TYPES, "report")
     sp = report["spec"]
-    spec = ConstructionSpec(
-        p=sp["p"], k=sp["k"], h=sp["h"], d=sp["d"], t=sp["t"], r=sp["r"],
-        alpha_index=sp["alpha"], e=sp["e"],
-    )
-    if big.p != spec.p or big.k != spec.k * spec.h:
-        problems.append("big field does not match the stored construction parameters")
-    if base.p != spec.p or base.k != spec.k:
-        problems.append("base field does not match the stored construction parameters")
-    if problems:
-        return False, problems
-    alpha = FieldElement(big, spec.alpha_index)
-    if big.mult_order_idx(spec.alpha_index) != spec.e:
-        problems.append("stored order e does not match alpha")
-    S = build_set(alpha, spec.t, base)
-    got = tuple(sorted(b.idx for b in S))
-    if got != tuple(report["set_indices"]):
-        problems.append("recomputed set differs from stored set_indices")
-    if len(got) != report["cardinality"]:
-        problems.append("stored cardinality is wrong")
-    conds = theorem_conditions_check(spec)
-    if list(conds) != [bool(c) for c in report["conditions"]]:
-        problems.append("recomputed conditions differ")
-    cert = report["certificate"]
+    _check_types(sp, _SPEC_TYPES, "report spec")
     if report["mode"] == "non_dth_power":
-        found = find_non_dth_power(S, spec.d)
-        if (found.idx if found is not None else None) != cert:
-            problems.append("recomputed certificate differs")
-        if report["verified"] != (found is not None):
-            problems.append("verified flag is inconsistent")
+        if sp["d"] is None:
+            raise ValueError("report spec d must be an integer in non_dth_power mode")
+        forced_t = sp["t"] if sp["r"] is None else None
+        rerun = construct_pipeline(
+            sp["p"], sp["k"], sp["h"], sp["d"], alpha_index=sp["alpha"], t=forced_t, cap=cap
+        ).to_json()
     elif report["mode"] == "primitive":
-        qn1 = big.Q - 1
-        prim = [m for m in got if m != 0 and math.gcd(big.log_idx(m), qn1) == 1]
-        if (prim[0] if prim else None) != cert:
-            problems.append("recomputed certificate differs")
-        if report.get("n_actual") != len(prim):
-            problems.append("recomputed primitive count differs")
-        if report["verified"] != bool(prim):
-            problems.append("verified flag is inconsistent")
+        q = make_field(sp["p"], sp["k"], cap=cap).Q
+        rerun = primitive_set_search(q, sp["h"], sp["t"], sp["alpha"], cap=cap).to_json()
     else:
-        problems.append(f"unknown mode {report['mode']!r}")
+        raise ValueError(f"unknown mode {report['mode']!r}")
+    problems = [
+        f"{key} differs from the rerun"
+        for key in sorted(report.keys() | rerun.keys())
+        if key not in report or key not in rerun or _canonical(report[key]) != _canonical(rerun[key])
+    ]
     return not problems, problems

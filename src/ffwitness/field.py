@@ -3,8 +3,7 @@
 The modulus and the generator are chosen deterministically (minimal index
 encoding), so two fields built from the same (p, k) are identical. An element
 is stored as its index sum(c_i * p**i); arithmetic goes through discrete
-exp/log tables when they are present and through polynomial arithmetic
-otherwise.
+exp/log tables, which every field builds at construction.
 
 The vector kernels (``*_vec``) index the numpy tables. The scalar ops
 (``*_idx``) read the same tables through memoryviews, which share their
@@ -39,13 +38,9 @@ class CapExceeded(Exception):
     """A field or enumeration size exceeds the configured cap."""
 
 
-class MissingLogTable(Exception):
-    """The operation needs a discrete-log table this field was built without."""
-
-
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over Z_p on plain int tuples (constant term first),
-# used to pick the modulus and to run fields that have no log tables
+# used to pick the modulus and to build the exp table's multiplication matrix
 
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -142,7 +137,7 @@ class FieldDescriptor:
         "_add_lut", "_mul_lut",
     )
 
-    def __init__(self, p: int, k: int, cap: int, tables: bool):
+    def __init__(self, p: int, k: int, cap: int):
         Q = p**k
         if Q > cap:
             raise CapExceeded(f"field size {p}**{k} = {Q} exceeds cap {cap}")
@@ -162,8 +157,7 @@ class FieldDescriptor:
         self._add_lut = None
         self._mul_lut = None
         self.generator_index = self._find_generator()
-        if tables:
-            self._build_tables()
+        self._build_tables()
         if Q <= _LUT_CAP:
             self._build_luts()
 
@@ -229,9 +223,8 @@ class FieldDescriptor:
 
     def zech_table(self) -> memoryview:
         """Z[j] = log(1 + g**j) for 0 <= j < Q - 1, with -1 where
-        1 + g**j = 0, built on first use. Needs the log tables."""
+        1 + g**j = 0, built on first use."""
         if self._zech is None:
-            self._require_tables()
             # stored in the smallest signed type holding -Q .. Q - 1, so
             # 2 bytes an entry on fields of up to 2**15 elements
             zech = self.log_vec(self.add_vec(self._exp, np.int64(1))).astype(np.min_scalar_type(-self.Q))
@@ -307,11 +300,7 @@ class FieldDescriptor:
         idx = self.all_indices()
         rows, cols = idx[:, None], idx[None, :]
         self._add_lut = self.add_vec(rows, cols).tolist()
-        if self._exp is not None:
-            self._mul_lut = self.mul_vec(rows, cols).tolist()
-        else:
-            Q = self.Q
-            self._mul_lut = [[self._mul_poly(a, b) for b in range(Q)] for a in range(Q)]
+        self._mul_lut = self.mul_vec(rows, cols).tolist()
 
     # -- index codec -------------------------------------------------------
 
@@ -337,37 +326,11 @@ class FieldDescriptor:
 
     # -- scalar ops in index space ------------------------------------------
 
-    def _add_digits(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        for place in self._pp[: self.k]:
-            s = a % p + b % p
-            a //= p
-            b //= p
-            if s >= p:
-                s -= p
-            out += s * place
-        return out
-
-    def _sub_digits(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        for place in self._pp[: self.k]:
-            s = a % p - b % p
-            a //= p
-            b //= p
-            if s < 0:
-                s += p
-            out += s * place
-        return out
-
     def add_idx(self, a: int, b: int) -> int:
         if self._add_lut is not None:
             return self._add_lut[a][b]
         if self.p == 2:
             return a ^ b
-        if self._exp is None:
-            return self._add_digits(a, b)
         if not (a and b):
             return a or b
         # g**la + g**lb = g**la * (1 + g**(lb - la)) = g**(la + Z[lb - la])
@@ -380,8 +343,6 @@ class FieldDescriptor:
     def neg_idx(self, a: int) -> int:
         if self.p == 2 or not a:
             return a
-        if self._exp is None:
-            return self._sub_digits(0, a)
         # -1 = g**((Q-1)/2)
         n = self.Q - 1
         return self._expv[(self._logv[a] + n // 2) % n]
@@ -389,8 +350,6 @@ class FieldDescriptor:
     def sub_idx(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._exp is None:
-            return self._sub_digits(a, b)
         if not b:
             return a
         n = self.Q - 1
@@ -425,17 +384,16 @@ class FieldDescriptor:
             return self._mul_lut[a][b]
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._expv[(self._logv[a] + self._logv[b]) % (self.Q - 1)]
-        return self._mul_poly(a, b)
+        return self._expv[(self._logv[a] + self._logv[b]) % (self.Q - 1)]
 
     def _pow_poly(self, a: int, e: int) -> int:
+        # for the generator search, which runs before any tables exist
         result = 1
         acc = a
         while e:
             if e & 1:
-                result = self._mul_poly(result, acc) if self._mul_lut is None else self._mul_lut[result][acc]
-            acc = self._mul_poly(acc, acc) if self._mul_lut is None else self._mul_lut[acc][acc]
+                result = self._mul_poly(result, acc)
+            acc = self._mul_poly(acc, acc)
             e >>= 1
         return result
 
@@ -447,35 +405,23 @@ class FieldDescriptor:
                 return 1
             raise ZeroDivisionError("zero to a negative power")
         e %= self.Q - 1
-        if self._exp is not None:
-            return self._expv[(self._logv[a] * e) % (self.Q - 1)]
-        return self._pow_poly(a, e)
+        return self._expv[(self._logv[a] * e) % (self.Q - 1)]
 
     def inv_idx(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return self._expv[-self._logv[a]]  # a negative index wraps mod Q - 1
-        return self._pow_poly(a, self.Q - 2)
+        return self._expv[-self._logv[a]]  # a negative index wraps mod Q - 1
 
     def log_idx(self, a: int) -> int:
         if a == 0:
             raise ValueError("discrete log of zero")
-        if self._log is None:
-            raise MissingLogTable(f"GF({self.Q}) was built without log tables")
         return self._logv[a]
 
     def mult_order_idx(self, a: int) -> int:
         if a == 0:
             raise ValueError("multiplicative order of zero")
         Qm1 = self.Q - 1
-        if self._log is not None:
-            return Qm1 // math.gcd(self._logv[a], Qm1)
-        e = Qm1
-        for r, _ in nt.factorize(Qm1).factors:
-            while e % r == 0 and self.pow_idx(a, e // r) == 1:
-                e //= r
-        return e
+        return Qm1 // math.gcd(self._logv[a], Qm1)
 
     # -- vector ops on numpy int64 index arrays ------------------------------
 
@@ -503,17 +449,11 @@ class FieldDescriptor:
             return u ^ v
         return self.add_vec(u, self.neg_vec(v))
 
-    def _require_tables(self) -> None:
-        if self._exp is None:
-            raise MissingLogTable(f"GF({self.Q}) was built without log tables")
-
     def log_vec(self, v: np.ndarray) -> np.ndarray:
         """Discrete logs; positions holding zero come back as -1."""
-        self._require_tables()
         return self._log[v]
 
     def mul_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._require_tables()
         u, v = np.broadcast_arrays(u, v)
         out = np.zeros(u.shape, dtype=np.int64)
         mask = (u != 0) & (v != 0)
@@ -521,7 +461,6 @@ class FieldDescriptor:
         return out
 
     def pow_vec(self, v: np.ndarray, e: int) -> np.ndarray:
-        self._require_tables()
         mask = v != 0
         if e < 0 and not mask.all():
             raise ZeroDivisionError("zero to a negative power")
@@ -547,13 +486,9 @@ class FieldDescriptor:
     def __reduce__(self):
         # memoryviews do not pickle; the construction is deterministic, so a
         # descriptor travels as its (p, k) and is rebuilt on arrival
-        return _unpickle_field, (self.p, self.k, self.has_tables)
+        return _unpickle_field, (self.p, self.k)
 
     # -- element handles -----------------------------------------------------
-
-    @property
-    def has_tables(self) -> bool:
-        return self._exp is not None
 
     @property
     def zero(self) -> "FieldElement":
@@ -680,42 +615,46 @@ def clear_field_cache() -> None:
         fn()
 
 
-def make_field(p: int, k: int, *, cap: int | None = None, tables: bool | None = None) -> FieldDescriptor:
-    """Build (or fetch from cache) GF(p**k) with the deterministic modulus and
-    generator. Raises CapExceeded when p**k exceeds the cap (default 2**22).
-
-    tables=None builds exp/log tables whenever the field fits the cap;
-    tables=False forces the polynomial-arithmetic fallback.
-    """
+def make_field(p: int, k: int, *, cap: int | None = None) -> FieldDescriptor:
+    """Build (or fetch from cache) GF(p**k) with the deterministic modulus,
+    generator and exp/log tables. Raises CapExceeded when p**k exceeds the
+    cap (default 2**22)."""
     if cap is None:
         cap = DEFAULT_CAP
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
+    if p > cap or k > cap.bit_length():
+        # p**k > cap already; checked before is_prime factors p and before
+        # p**k is formed, either of which can take unbounded time
+        raise CapExceeded(f"field size {p}**{k} exceeds cap {cap}")
     if not nt.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p**k > cap:
         raise CapExceeded(f"field size {p}**{k} exceeds cap {cap}")
-    want_tables = tables if tables is not None else True
-    key = (p, k, want_tables)
+    key = (p, k)
     got = _FIELD_CACHE.get(key)
     if got is None:
-        got = FieldDescriptor(p, k, cap, want_tables)
+        got = FieldDescriptor(p, k, cap)
         _FIELD_CACHE[key] = got
     return got
 
 
-def _unpickle_field(p: int, k: int, tables: bool) -> FieldDescriptor:
-    return make_field(p, k, cap=max(DEFAULT_CAP, p**k), tables=tables)
+def make_field_pair(q: int, h: int, *, cap: int | None = None) -> tuple[FieldDescriptor, FieldDescriptor]:
+    """GF(q) and GF(q**h) for a prime power q. q is checked against the cap
+    before it is factored, which can take unbounded time."""
+    if cap is None:
+        cap = DEFAULT_CAP
+    if q > cap:
+        raise CapExceeded(f"field size {q} exceeds cap {cap}")
+    pk = nt.is_prime_power(q)
+    if pk is None:
+        raise ValueError(f"{q} is not a prime power")
+    p, k = pk
+    return make_field(p, k, cap=cap), make_field(p, k * h, cap=cap)
 
 
-def field_from_json(desc: dict, *, cap: int | None = None) -> FieldDescriptor:
-    """Rebuild a field from its serialized descriptor, refusing descriptor
-    drift: the stored modulus and generator must match the deterministic
-    construction."""
-    fd = make_field(int(desc["p"]), int(desc["k"]), cap=cap)
-    if list(fd.modulus) != list(desc["modulus"]) or fd.generator_index != int(desc["generator"]):
-        raise ValueError("descriptor drift: stored field does not match deterministic construction")
-    return fd
+def _unpickle_field(p: int, k: int) -> FieldDescriptor:
+    return make_field(p, k, cap=max(DEFAULT_CAP, p**k))
 
 
 class _Embedding:
@@ -744,16 +683,13 @@ class _Embedding:
         self._image = None
         self._preimage = None
         if src.Q <= _EAGER_EMBED_CAP:
-            if target.has_tables:
-                # a = sum c_i x**i maps to sum c_i root**i; the digit c_i is
-                # the prime-field constant with index c_i in the target too
-                digits = src.digits_vec(src.all_indices())
-                acc = np.zeros(src.Q, dtype=np.int64)
-                for i, power in enumerate(self.power_idx):
-                    acc = target.add_vec(acc, target.mul_vec(digits[:, i], np.int64(power)))
-                image = acc.tolist()
-            else:
-                image = [self._map_idx(a) for a in range(src.Q)]
+            # a = sum c_i x**i maps to sum c_i root**i; the digit c_i is the
+            # prime-field constant with index c_i in the target too
+            digits = src.digits_vec(src.all_indices())
+            acc = np.zeros(src.Q, dtype=np.int64)
+            for i, power in enumerate(self.power_idx):
+                acc = target.add_vec(acc, target.mul_vec(digits[:, i], np.int64(power)))
+            image = acc.tolist()
             self._image = tuple(image)
             self._preimage = {t: s for s, t in enumerate(image)}
 
@@ -786,22 +722,13 @@ class _Embedding:
 def _roots_of_subfield_modulus(src: FieldDescriptor, target: FieldDescriptor) -> list[int]:
     # prime-field coefficients c are the constant elements with index c
     coeffs = [c % target.p for c in src.modulus]
-    if target.has_tables:
-        # an irreducible of degree m has all its roots in the copy of
-        # GF(p**m): 0 and the powers g**(j(Q-1)/(q-1)) (Lidl-Niederreiter,
-        # Finite Fields, Thm 2.14), so only those q candidates are tried
-        step = (target.Q - 1) // (src.Q - 1)
-        points = np.concatenate((np.zeros(1, dtype=np.int64), target._exp[::step]))
-        vals = target.eval_poly_vec(coeffs, points)
-        return sorted(points[vals == 0].tolist())
-    out = []
-    for a in range(target.Q):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = target.add_idx(target.mul_idx(acc, a), c)
-        if acc == 0:
-            out.append(a)
-    return out
+    # an irreducible of degree m has all its roots in the copy of GF(p**m):
+    # 0 and the powers g**(j(Q-1)/(q-1)) (Lidl-Niederreiter, Finite Fields,
+    # Thm 2.14), so only those q candidates are tried
+    step = (target.Q - 1) // (src.Q - 1)
+    points = np.concatenate((np.zeros(1, dtype=np.int64), target._exp[::step]))
+    vals = target.eval_poly_vec(coeffs, points)
+    return sorted(points[vals == 0].tolist())
 
 
 def get_embedding(src: FieldDescriptor, target: FieldDescriptor) -> _Embedding:
@@ -840,8 +767,8 @@ def discrete_log(beta: FieldElement) -> int:
 def is_dth_power(beta: FieldElement, d: int) -> bool:
     """Whether beta is a d-th power in the multiplicative group.
 
-    beta = g**j is a d-th power iff gcd(d, Q-1) divides j, equivalently
-    beta**((Q-1)/gcd(d, Q-1)) == 1. Rejects zero and d < 1.
+    beta = g**j is a d-th power iff gcd(d, Q-1) divides j. Rejects zero and
+    d < 1.
     """
     if beta.idx == 0:
         raise ValueError("zero input: d-th power status is defined on the unit group")
@@ -849,9 +776,7 @@ def is_dth_power(beta: FieldElement, d: int) -> bool:
         raise ValueError("d must be >= 1")
     fd = beta.field
     g = math.gcd(d, fd.Q - 1)
-    if fd._log is not None:
-        return fd.log_idx(beta.idx) % g == 0
-    return fd.pow_idx(beta.idx, (fd.Q - 1) // g) == 1
+    return fd.log_idx(beta.idx) % g == 0
 
 
 def frobenius(beta: FieldElement, times: int = 1) -> FieldElement:

@@ -167,10 +167,20 @@ def choose_t(q: int, h: int) -> tuple[int, int]:
     return r, t
 
 
+def binomial_conditions(t: int, Q: int, e: int) -> tuple[bool, bool, bool]:
+    """The three conditions of the binomial criterion for x**t - a over
+    GF(Q), with e the multiplicative order of a: (1) gcd(t, (Q-1)/e) == 1,
+    (2) every prime of t divides e, (3) Q % 4 == 1 whenever 4 | t. Requires
+    e | Q - 1."""
+    c1 = math.gcd(t, (Q - 1) // e) == 1
+    c2 = all(e % r == 0 for r in factorize(t).prime_divisors())
+    c3 = (Q % 4 == 1) if t % 4 == 0 else True
+    return c1, c2, c3
+
+
 def t_density(q: int, h: int, e: int, bound: int) -> tuple[int, Fraction]:
-    """Count t in 1..bound satisfying the three arithmetic conditions of the
-    guarantee for exponent e: gcd(t, (q**h - 1)//e) == 1, every prime of t
-    divides e, and q**h % 4 == 1 whenever 4 | t.
+    """Count t in 1..bound satisfying the binomial conditions of the
+    guarantee for exponent e over GF(q**h).
 
     Returns (count, Fraction(count, bound)). Requires e | q**h - 1.
     """
@@ -180,14 +190,5 @@ def t_density(q: int, h: int, e: int, bound: int) -> tuple[int, Fraction]:
     qh = q**h
     if e < 1 or (qh - 1) % e != 0:
         raise ValueError(f"e={e} must divide q**h - 1 = {qh - 1}")
-    cofactor = (qh - 1) // e
-    count = 0
-    for t in range(1, bound + 1):
-        if math.gcd(t, cofactor) != 1:
-            continue
-        if any(e % p != 0 for p in factorize(t).prime_divisors()):
-            continue
-        if t % 4 == 0 and qh % 4 != 1:
-            continue
-        count += 1
+    count = sum(all(binomial_conditions(t, qh, e)) for t in range(1, bound + 1))
     return count, Fraction(count, bound)

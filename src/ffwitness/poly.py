@@ -2,16 +2,14 @@
 the distinct-degree test, the binomial criterion, composition with x**t,
 value sets, squarefree degree, and root finding in extensions.
 
-Over a field with log tables, multiplication and division run in the log
-domain: each coefficient is held as its discrete log (-1 for zero), a
-product of two terms is a sum of logs, and adding a term into a
-coefficient is one read of the field's Zech table. Results of internal
-arithmetic are already valid indices, so they skip the range checks of the
-public constructor."""
+Multiplication and division run in the log domain: each coefficient is
+held as its discrete log (-1 for zero), a product of two terms is a sum of
+logs, and adding a term into a coefficient is one read of the field's Zech
+table. Results of internal arithmetic are already valid indices, so they
+skip the range checks of the public constructor."""
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,8 +44,8 @@ def _log_mul(a: list[int], b: list[int], n: int, zech) -> list[int]:
 
 
 def _log_divisor(f: "Polynomial") -> tuple[int, int, list[tuple[int, int]]]:
-    """A nonzero divisor f over a field with tables, as (degree, log of the
-    leading coefficient, [(j, log(-f_j / f_lead)) for the nonzero lower f_j])."""
+    """A nonzero divisor f as (degree, log of the leading coefficient,
+    [(j, log(-f_j / f_lead)) for the nonzero lower f_j])."""
     fd = f.field
     n, log = fd.Q - 1, fd._logv
     lead = log[f.coeffs[-1]]
@@ -223,14 +221,6 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial._trusted(fd, [])
-        if not fd.has_tables:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            out[i + j] = fd.add_idx(out[i + j], fd.mul_idx(x, y))
-            return Polynomial._trusted(fd, out)
         prod = _log_mul(self._logs(), other._logs(), fd.Q - 1, fd.zech_table())
         return Polynomial._from_logs(fd, prod)
 
@@ -245,18 +235,6 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         fd = self.field
         db = other.degree()
-        if not fd.has_tables:
-            rem = list(self.coeffs)
-            inv_lead = fd.inv_idx(other.coeffs[-1])
-            quo = [0] * max(0, len(rem) - db)
-            for i in range(len(rem) - 1, db - 1, -1):
-                c = rem[i]
-                if c:
-                    q = fd.mul_idx(c, inv_lead)
-                    quo[i - db] = q
-                    for j in range(db + 1):
-                        rem[i - db + j] = fd.sub_idx(rem[i - db + j], fd.mul_idx(q, other.coeffs[j]))
-            return Polynomial._trusted(fd, quo), Polynomial._trusted(fd, rem)
         rem = self._logs()
         quo = _log_divide(rem, _log_divisor(other), fd.Q - 1, fd.zech_table())
         return Polynomial._from_logs(fd, quo), Polynomial._from_logs(fd, rem[:db])
@@ -313,20 +291,12 @@ class Polynomial:
 
 
 def poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    """base**e mod mod, by binary powering. Over a field with tables the
-    products and reductions stay in the log domain throughout."""
+    """base**e mod mod, by binary powering. The products and reductions
+    stay in the log domain throughout."""
     if e < 0:
         raise ValueError("negative exponent")
     fd = mod.field
     acc = base % mod
-    if not fd.has_tables:
-        result = Polynomial._trusted(fd, [1])
-        while e:
-            if e & 1:
-                result = (result * acc) % mod
-            acc = (acc * acc) % mod
-            e >>= 1
-        return result
     n, zech = fd.Q - 1, fd.zech_table()
     divisor = _log_divisor(mod)
     result, acc_logs = [0], acc._logs()  # log(1) = 0
@@ -374,12 +344,8 @@ def binomial_irreducible_check(t: int, a: FieldElement) -> tuple[bool, tuple[boo
         raise ValueError("binomial criterion needs t >= 2")
     if a.idx == 0:
         raise ValueError("x**t is never irreducible for t >= 2; need a != 0")
-    Q = a.field.Q
-    e = mult_order(a)
-    c1 = math.gcd(t, (Q - 1) // e) == 1
-    c2 = all(e % r == 0 for r in nt.factorize(t).prime_divisors())
-    c3 = (Q % 4 == 1) if t % 4 == 0 else True
-    return c1 and c2 and c3, (c1, c2, c3)
+    conds = nt.binomial_conditions(t, a.field.Q, mult_order(a))
+    return all(conds), conds
 
 
 def composed_irreducible_check(f: Polynomial, t: int) -> tuple[bool, tuple[bool, bool, bool]]:
@@ -409,19 +375,15 @@ def composed_irreducible_check(f: Polynomial, t: int) -> tuple[bool, tuple[bool,
     for r, _ in nt.factorize(Qn - 1).factors:
         while e % r == 0 and poly_powmod(Polynomial.x(fd), e // r, fm) == one:
             e //= r
-    c1 = math.gcd(t, (Qn - 1) // e) == 1
-    c2 = all(e % r == 0 for r in nt.factorize(t).prime_divisors())
-    c3 = (Qn % 4 == 1) if t % 4 == 0 else True
-    return c1 and c2 and c3, (c1, c2, c3)
+    conds = nt.binomial_conditions(t, Qn, e)
+    return all(conds), conds
 
 
 def value_set(f: Polynomial) -> set[FieldElement]:
     """The image {f(a) : a in the field}, by full enumeration."""
     fd = f.field
-    if fd.has_tables:
-        vals = fd.eval_poly_vec(f.coeffs, fd.all_indices())
-        return {FieldElement(fd, int(v)) for v in np.unique(vals)}
-    return {FieldElement(fd, f.eval_idx(a)) for a in range(fd.Q)}
+    vals = fd.eval_poly_vec(f.coeffs, fd.all_indices())
+    return {FieldElement(fd, int(v)) for v in np.unique(vals)}
 
 
 def pth_root_poly(f: Polynomial) -> Polynomial:

@@ -4,6 +4,7 @@ resource-cap override."""
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -187,11 +188,27 @@ def _without(blob, key):
 MALFORMED = {
     "survey-d-zero": (["survey", "--q-min", "7", "--q-max", "10", "--d", "0"], None),
     "survey-d-negative": (["survey", "--q-min", "7", "--q-max", "10", "--d", "-3"], None),
+    "survey-h-negative": (["survey", "--q-min", "7", "--q-max", "10", "--h", "-1"], None),
     "verify-top-level-list": (["verify"], lambda rep: [rep]),
     "verify-no-spec": (["verify"], lambda rep: _without(rep, "spec")),
     "verify-no-mode": (["verify"], lambda rep: _without(rep, "mode")),
     "verify-spec-not-object": (["verify"], lambda rep: {**rep, "spec": [1, 2]}),
     "verify-spec-no-alpha": (["verify"], lambda rep: {**rep, "spec": _without(rep["spec"], "alpha")}),
+    "verify-alpha-string": (["verify"], lambda rep: {**rep, "spec": {**rep["spec"], "alpha": "9"}}),
+    "verify-alpha-negative": (["verify"], lambda rep: {**rep, "spec": {**rep["spec"], "alpha": -1}}),
+    "verify-e-null": (["verify"], lambda rep: {**rep, "spec": {**rep["spec"], "e": None}}),
+    "verify-set-indices-int": (["verify"], lambda rep: {**rep, "set_indices": 7}),
+    "verify-big-field-list": (["verify"], lambda rep: {**rep, "big_field": [7, 2]}),
+    "verify-p-bool": (["verify"], lambda rep: {**rep, "spec": {**rep["spec"], "p": True}}),
+    "verify-unknown-mode": (["verify"], lambda rep: {**rep, "mode": "square"}),
+    "construct-h-one": (["construct", "--p", "7", "--k", "1", "--h", "1", "--d", "2"], None),
+    "audit-weil-max-degree-zero": (["audit-weil", "--q-list", "7", "--count", "1", "--max-degree", "0"], None),
+    "audit-weil-gf2": (["audit-weil", "--q-list", "2", "--m", "1"], None),
+    "audit-bounds-h-zero": (["audit-bounds", "--q-max", "10", "--h", "0"], None),
+    "primitive-q-not-prime-power": (["primitive", "--q", "6", "--n", "2"], None),
+    "mn-search-q-not-prime-power": (["mn-search", "--q", "6", "--kk", "2", "--l", "2"], None),
+    "ck-check-q-below-7": (["ck-check", "--q-min", "3", "--q-max", "5"], None),
+    "hm-check-even-p": (["hm-check", "--p-list", "4"], None),
 }
 
 
@@ -207,6 +224,50 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path):
     assert out == ""
     assert err.startswith("bad input: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["audit-weil-max-degree-zero", "audit-weil-gf2"])
+def test_audit_weil_messages_name_the_option(case):
+    _, _, err = run(MALFORMED[case][0])
+    assert ("max_degree" if case.endswith("zero") else "q**m") in err
+
+
+# inputs whose size alone exceeds the cap, rejected before p or q is
+# factored and before p**k is formed
+OVERSIZED = {
+    "construct-huge-p": ["construct", "--p", "1000000000000000003", "--k", "1", "--h", "2", "--d", "2"],
+    "construct-huge-k": ["construct", "--p", "3", "--k", "300000000", "--h", "2", "--d", "2"],
+    "primitive-huge-q": ["primitive", "--q", "1000000000000000003", "--n", "2"],
+    "audit-weil-huge-q": ["audit-weil", "--q-list", "1000000000000000003"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_input_exits_3_quickly(case):
+    start = time.perf_counter()
+    code, out, err = run(OVERSIZED[case])
+    assert time.perf_counter() - start < 2
+    assert code == cli.EXIT_CAP and out == ""
+    assert err.startswith("cap exceeded: ") and err.count("\n") == 1, err
+
+
+def test_survey_huge_h_records_cap_row_quickly():
+    # q**h is never formed: divisibility by d is decided by pow(q, h, d)
+    start = time.perf_counter()
+    code, out, _ = run(["survey", "--q-min", "7", "--q-max", "7", "--h", "100000000", "--format", "csv"])
+    assert time.perf_counter() - start < 2
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[1].endswith(",cap: field size 7**100000000 exceeds cap 4194304")
+
+
+def test_verify_over_cap_exits_3(tmp_path):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_construct_report(tmp_path)))
+    clear_field_cache()
+    code, out, err = run(["verify", str(path), "--cap-field", "10"])
+    assert code == cli.EXIT_CAP and out == ""
+    assert err.startswith("cap exceeded: ")
+    clear_field_cache()
 
 
 def test_help_exits_cleanly():

@@ -5,6 +5,7 @@ size 7 whose first non-square has index 9, and q = 81 reaches t = 4 with
 |S| = 21.
 """
 
+import copy
 import json
 import math
 
@@ -146,6 +147,39 @@ def test_alpha_density_scan_q7():
     assert alpha_density_scan(7, 2, 1, 2) == (42, 42, 42)
 
 
+@pytest.mark.parametrize("q,h,t,d", [(49, 2, 2, 2), (49, 2, 3, 2), (81, 2, 4, 2), (64, 2, 3, 3)])
+def test_alpha_density_scan_valid_count_matches_per_alpha_conditions(q, h, t, d):
+    # the scan decides the conditions once per order; here they are decided
+    # once per alpha
+    p, k = nt.is_prime_power(q)
+    big = make_field(p, k * h)
+    base_image = set(get_embedding(make_field(p, k), big).image_indices())
+    valid = 0
+    for a in range(1, big.Q):
+        if a not in base_image:
+            spec = construct.ConstructionSpec(p, k, h, d, t, None, a, big.mult_order_idx(a))
+            valid += all(theorem_conditions_check(spec))
+    assert alpha_density_scan(q, h, t, d)[0] == valid
+
+
+@pytest.mark.parametrize("fn", [base_image_mask, alpha_density_scan, primitive_weil_audit])
+def test_whole_field_scans_reject_non_prime_power(fn):
+    args = {alpha_density_scan: (6, 2, 1, 2), primitive_weil_audit: (6, 2, 1, 9)}.get(fn, (6, 2))
+    with pytest.raises(ValueError, match="not a prime power"):
+        fn(*args)
+
+
+def test_strict_t_matches_strict_inequality():
+    # r**e * h < sqrt(q), compared exactly as (r**e * h)**2 < q
+    for r in (2, 3, 5, 7):
+        for h in (1, 2, 3):
+            for q in range(3, 400):
+                e = 0
+                while (r ** (e + 1) * h) ** 2 < q:
+                    e += 1
+                assert construct._strict_t(r, h, q) == r**e
+
+
 def test_base_image_mask():
     mask = base_image_mask(7, 2)
     big = make_field(7, 2)
@@ -267,6 +301,11 @@ def test_survey_skips_and_range():
     assert r8["status"].startswith("skipped")  # 2 does not divide 63... d = 2, q = 8: 63 odd
 
 
+def test_survey_d_one_divides_everything():
+    # d = 1 divides every q**h - 1, so no row is skipped
+    assert [r["status"] for r in survey_rows(7, 9, 2, 1)] == ["ok", "ok", "ok"]
+
+
 def test_audit_bounds_rows_shape():
     rows = audit_bounds_rows(100, h=2)
     byq = {r["q"]: r for r in rows}
@@ -293,9 +332,81 @@ def test_verify_report_detects_tampering():
     assert not ok and problems
 
 
+def test_verify_report_tells_true_from_one():
+    # inside lists the types are not checked up front; the comparison with
+    # the rerun must still refuse 1 for true and 9.0 for 9
+    blob = json.loads(json.dumps(construct_pipeline(7, 1, 2, 2).to_json()))
+    for key, value in (("conditions", [1, 1, 1, 1]), ("set_indices", [float(i) for i in blob["set_indices"]])):
+        ok, problems = verify_report({**blob, key: value})
+        assert not ok and problems == [f"{key} differs from the rerun"]
+
+
 def test_verify_report_detects_descriptor_drift():
     rep = construct_pipeline(7, 1, 2, 2)
     bad = json.loads(json.dumps(rep.to_json()))
     bad["big_field"]["modulus"] = [5, 0, 1]
     ok, problems = verify_report(bad)
     assert not ok and problems
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, obj
+
+
+def _flip(value):
+    if isinstance(value, bool):
+        return not value
+    if value is None:
+        return 0
+    if isinstance(value, (int, float)):
+        return value + 1
+    return value + "x"
+
+
+def _rerun(blob):
+    sp = blob["spec"]
+    if blob["mode"] == "primitive":
+        return primitive_set_search(sp["p"] ** sp["k"], sp["h"], sp["t"], sp["alpha"]).to_json()
+    t = sp["t"] if sp["r"] is None else None
+    return construct_pipeline(sp["p"], sp["k"], sp["h"], sp["d"], alpha_index=sp["alpha"], t=t).to_json()
+
+
+# leaf flips that verify accepts, because the flipped report is the one the
+# pipeline emits for the flipped spec: at t = 1, alpha 9 -> 10 moves alpha
+# inside its own coset alpha + F_7 of GF(49), with the same order
+BENIGN_FLIPS = {
+    "construct": {("spec", "alpha")},
+    "primitive": {("spec", "alpha")},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BENIGN_FLIPS))
+def test_verify_rejects_every_flipped_leaf(kind):
+    rep = construct_pipeline(7, 1, 2, 2) if kind == "construct" else primitive_set_search(7, 2, 1)
+    blob = json.loads(json.dumps(rep.to_json()))
+    accepted = set()
+    leaves = list(_leaves(blob))
+    assert len(leaves) == 40
+    for path, value in leaves:
+        bad = copy.deepcopy(blob)
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = _flip(value)
+        try:
+            ok, problems = verify_report(bad)
+        except ValueError:
+            continue  # rejected as malformed
+        if ok:
+            accepted.add(path)
+            assert json.dumps(bad, sort_keys=True) == json.dumps(_rerun(bad), sort_keys=True)
+        else:
+            assert problems, path
+    assert accepted == BENIGN_FLIPS[kind]
