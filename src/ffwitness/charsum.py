@@ -361,19 +361,9 @@ def r_free_indicator_sum(alpha: FieldElement, r: int) -> complex:
 def primitive_indicator(alpha: FieldElement) -> float:
     """phi(Q-1)/(Q-1) times the full Moebius-weighted sum over d | Q-1;
     equals 1 exactly when alpha is primitive, else 0."""
-    fd = _check_unit(alpha)
-    n = fd.Q - 1
-    # sum over all squarefree d | Q-1 (non-squarefree d have mu = 0)
-    acc = 0j
-    for d in nt.factorize(n).divisors():
-        mu = nt.moebius(d)
-        if mu == 0:
-            continue
-        inner = 0j
-        for chi in characters_of_order(fd, d):
-            inner += chi(alpha)
-        acc += (mu / nt.phi(d)) * inner
-    return (nt.phi(n) / n) * acc.real
+    n = alpha.field.Q - 1
+    # primitive means (Q-1)-free, so this is the r-free sum at r = Q - 1
+    return (nt.phi(n) / n) * r_free_indicator_sum(alpha, n).real
 
 
 # ---------------------------------------------------------------------------

@@ -350,11 +350,13 @@ def hm_artin_schreier_check(p: int, *, cap: int | None = None) -> bool:
     x**p - x - a in GF(p**p): every alpha + c, c in GF(p), is a non-square.
     The root is found by solving the Frobenius-minus-identity linear system
     over GF(p)."""
-    if not nt.is_prime(p) or p % 2 == 0:
+    if p % 2 == 0:
         raise ValueError("p must be an odd prime")
+    # make_field checks the cap before it tests p for primality, which can
+    # take unbounded time, and rejects a p that is not prime
+    big = make_field(p, p, cap=cap)
     fp = make_field(p, 1, cap=cap)
     a = next(c for c in range(2, p) if not is_dth_power(FieldElement(fp, c), 2))
-    big = make_field(p, p, cap=cap)
     # Frobenius matrix: column i holds the coefficients of (x**i)**p
     cols = [big.coeffs_of(big.pow_idx(big._pp[i], p)) for i in range(p)]
     rows = [[(cols[j][i] - (1 if i == j else 0)) % p for j in range(p)] for i in range(p)]
@@ -386,7 +388,9 @@ def mn_conjecture_search(
         raise ValueError("kk and l must be >= 1")
     sub, big = make_field_pair(q, kk, cap=cap)
     p, K = big.p, big.k
-    if big.Q * q ** (l - 1) > budget:
+    # q**(l-1) >= 2**(l-1) exceeds the budget when l - 1 passes its bit
+    # length, which is checked first so that a huge power is never formed
+    if l - 1 > budget.bit_length() or big.Q * q ** (l - 1) > budget:
         raise CapExceeded(f"candidate count q**kk * q**(l-1) exceeds budget {budget}")
     emb = get_embedding(sub, big)
     mid_choices = sorted(emb.image_indices())

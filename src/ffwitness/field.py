@@ -1,7 +1,10 @@
 """Finite fields GF(p**k) in the polynomial basis.
 
 The modulus and the generator are chosen deterministically (minimal index
-encoding), so two fields built from the same (p, k) are identical. An element
+encoding), so two fields built from the same (p, k) are identical. GF(p)
+needs no polynomials. GF(p**k) for k >= 2 is built through GF(p) and
+``poly``: the modulus search, the generator test and the multiplication
+matrix of the exp table run on polynomials over GF(p). An element
 is stored as its index sum(c_i * p**i); arithmetic goes through discrete
 exp/log tables, which every field builds at construction.
 
@@ -30,91 +33,11 @@ from . import nt
 
 DEFAULT_CAP = 1 << 22
 _LUT_CAP = 256
-_EAGER_EMBED_CAP = 1 << 16
 _TABLE_BLOCK = 4096
 
 
 class CapExceeded(Exception):
     """A field or enumeration size exceeds the configured cap."""
-
-
-# ---------------------------------------------------------------------------
-# polynomial arithmetic over Z_p on plain int tuples (constant term first),
-# used to pick the modulus and to build the exp table's multiplication matrix
-
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    # mod is monic
-    out = list(a)
-    dm = len(mod) - 1
-    for i in range(len(out) - 1, dm - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(dm):
-                out[i - dm + j] = (out[i - dm + j] - c * mod[j]) % p
-    return _fp_trim(out)
-
-
-def _fp_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    acc = _fp_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _fp_mod(_fp_mul(result, acc, p), mod, p)
-        acc = _fp_mod(_fp_mul(acc, acc, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        monic = [(c * inv) % p for c in b]
-        a, b = b, _fp_mod(a, monic, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _fp_is_irreducible(f: Sequence[int], p: int) -> bool:
-    # no irreducible factor of degree <= deg(f)/2  <=>  f is irreducible
-    n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    inv = pow(f[-1], p - 2, p)
-    f = [(c * inv) % p for c in f]
-    h = [0, 1]
-    for _ in range(n // 2):
-        h = _fp_powmod(h, p, f, p)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        if len(_fp_gcd(f, _fp_trim(diff), p)) != 1:
-            return False
-    return True
 
 
 def _gf2_times(tables: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -132,7 +55,7 @@ class FieldDescriptor:
     """Immutable description of GF(p**k) plus its arithmetic tables."""
 
     __slots__ = (
-        "p", "k", "Q", "modulus", "generator_index", "_key", "_red_rows",
+        "p", "k", "Q", "modulus", "generator_index", "_key",
         "_exp", "_log", "_expv", "_logv", "_zech", "_pp", "_pp_np",
         "_add_lut", "_mul_lut",
     )
@@ -148,7 +71,6 @@ class FieldDescriptor:
         self._pp_np = np.array(self._pp[:k], dtype=np.int64)
         self.modulus = self._find_modulus()
         self._key = (p, k, self.modulus)
-        self._red_rows = self._reduction_rows()
         self._exp = None
         self._log = None
         self._expv = None
@@ -164,39 +86,33 @@ class FieldDescriptor:
     # -- construction ------------------------------------------------------
 
     def _find_modulus(self) -> tuple[int, ...]:
-        # minimal index encoding of the non-leading coefficient vector
+        # minimal index encoding of the non-leading coefficient vector; for
+        # k = 1 that is x, index 0, as every monic linear is irreducible
         p, k = self.p, self.k
+        if k == 1:
+            return (0, 1)
+        poly, fp = _prime_field_ring(p)
         for a in range(self.Q):
             coeffs = self._decode(a) + (1,)
-            if _fp_is_irreducible(coeffs, p):
+            if poly.is_irreducible(poly.Polynomial(fp, coeffs)):
                 return coeffs
         raise RuntimeError(f"no irreducible of degree {k} over GF({p})")  # unreachable
-
-    def _reduction_rows(self) -> tuple[tuple[int, ...], ...]:
-        # row d-k holds the coefficients of x**d mod modulus, d = k .. 2k-2
-        p, k = self.p, self.k
-        rows = []
-        cur = [(-c) % p for c in self.modulus[:k]]
-        for _ in range(k - 1):
-            rows.append(tuple(cur))
-            cur = [0] + cur[: k - 1] if k > 1 else [0]
-            top = rows[-1][k - 1] if k > 1 else 0
-            if k > 1 and top:
-                base = rows[0]
-                cur = [(cur[i] + top * base[i]) % p for i in range(k)]
-            cur = cur[:k]
-        return tuple(rows)
 
     def _find_generator(self) -> int:
         if self.Q == 2:
             return 1
         primes = nt.factorize(self.Q - 1).prime_divisors()
         cofactors = [(self.Q - 1) // r for r in primes]
+        if self.k == 1:
+            p = self.p
+            return next(a for a in range(2, p) if all(pow(a, c, p) != 1 for c in cofactors))
         # for k >= 2 the indices below p are the prime field, whose orders
         # divide p - 1 < Q - 1, so none of them generates
-        start = self.p if self.k > 1 else 2
-        for idx in range(start, self.Q):
-            if all(self._pow_poly(idx, c) != 1 for c in cofactors):
+        poly, fp = _prime_field_ring(self.p)
+        f = poly.Polynomial(fp, self.modulus)
+        for idx in range(self.p, self.Q):
+            a = poly.Polynomial(fp, self._decode(idx))
+            if all(poly.poly_powmod(a, c, f).coeffs != (1,) for c in cofactors):
                 return idx
         raise RuntimeError("no generator found")  # unreachable for a field
 
@@ -238,12 +154,16 @@ class FieldDescriptor:
         the matrix of multiplication by g**B."""
         p, k, Qm1 = self.p, self.k, self.Q - 1
         # multiplication-by-generator matrix: column j = coeffs of g * x**j
-        g = self._decode(self.generator_index)
-        M = np.zeros((k, k), dtype=np.int64)
-        for j in range(k):
-            col = _fp_mod(_fp_mul(g, [0] * j + [1], p), list(self.modulus), p)
-            for i, c in enumerate(col):
-                M[i, j] = c
+        if k == 1:
+            M = np.array([[self.generator_index]], dtype=np.int64)
+        else:
+            poly, fp = _prime_field_ring(p)
+            f = poly.Polynomial(fp, self.modulus)
+            g = self._decode(self.generator_index)
+            M = np.zeros((k, k), dtype=np.int64)
+            for j in range(k):
+                col = (poly.Polynomial(fp, (0,) * j + g) % f).coeffs
+                M[: len(col), j] = col
         B = min(_TABLE_BLOCK, Qm1)
         block = np.zeros((B, k), dtype=np.int64)
         block[0, 0] = 1
@@ -362,40 +282,12 @@ class FieldDescriptor:
         z = zech[(neg_lb - la) % n]
         return self._expv[(la + z) % n] if z >= 0 else 0
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        p, k = self.p, self.k
-        da, db = self._decode(a), self._decode(b)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        out = prod[:k]
-        for d in range(k, 2 * k - 1):
-            c = prod[d]
-            if c:
-                row = self._red_rows[d - k]
-                for i in range(k):
-                    out[i] = (out[i] + c * row[i]) % p
-        return self.index_of(out)
-
     def mul_idx(self, a: int, b: int) -> int:
         if self._mul_lut is not None:
             return self._mul_lut[a][b]
         if a == 0 or b == 0:
             return 0
         return self._expv[(self._logv[a] + self._logv[b]) % (self.Q - 1)]
-
-    def _pow_poly(self, a: int, e: int) -> int:
-        # for the generator search, which runs before any tables exist
-        result = 1
-        acc = a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, acc)
-            acc = self._mul_poly(acc, acc)
-            e >>= 1
-        return result
 
     def pow_idx(self, a: int, e: int) -> int:
         if a == 0:
@@ -657,15 +549,26 @@ def _unpickle_field(p: int, k: int) -> FieldDescriptor:
     return make_field(p, k, cap=max(DEFAULT_CAP, p**k))
 
 
+def _prime_field_ring(p: int):
+    """The ``poly`` module and GF(p), whose polynomial ring builds GF(p**k)
+    for k >= 2. As in _unpickle_field, a subfield is built whatever the cap."""
+    # poly imports this module at load time, hence the import at call time
+    from . import poly
+
+    return poly, make_field(p, 1, cap=max(DEFAULT_CAP, p))
+
+
 class _Embedding:
     """The canonical embedding GF(p**m) -> GF(p**k) (m | k) sending the
     subfield's generator-of-arithmetic x to the minimal-index root of the
     subfield modulus.
 
     The root is searched for among the p**m elements of the target's copy
-    of GF(p**m) only. Subfields of at most _EAGER_EMBED_CAP elements get an
-    eager image, computed for all of them at once with the vector kernels,
-    and a preimage dict."""
+    of GF(p**m) only. The image of every element is computed at once with
+    the vector kernels and kept with a preimage dict. A proper subfield has
+    at most sqrt(p**k) elements (2**11 under the default cap); one of 2**17
+    would need a target of 2**34, whose tables cannot be built. A field's
+    embedding into itself is _Identity, which holds no map."""
 
     __slots__ = ("src", "target", "root_idx", "power_idx", "_image", "_preimage")
 
@@ -680,43 +583,51 @@ class _Embedding:
         for _ in range(src.k - 1):
             powers.append(target.mul_idx(powers[-1], self.root_idx))
         self.power_idx = tuple(powers)
-        self._image = None
-        self._preimage = None
-        if src.Q <= _EAGER_EMBED_CAP:
-            # a = sum c_i x**i maps to sum c_i root**i; the digit c_i is the
-            # prime-field constant with index c_i in the target too
-            digits = src.digits_vec(src.all_indices())
-            acc = np.zeros(src.Q, dtype=np.int64)
-            for i, power in enumerate(self.power_idx):
-                acc = target.add_vec(acc, target.mul_vec(digits[:, i], np.int64(power)))
-            image = acc.tolist()
-            self._image = tuple(image)
-            self._preimage = {t: s for s, t in enumerate(image)}
-
-    def _map_idx(self, a: int) -> int:
-        out = 0
-        for i, c in enumerate(self.src._decode(a)):
-            if c:
-                out = self.target.add_idx(out, self.target.mul_idx(c, self.power_idx[i]))
-        return out
+        # a = sum c_i x**i maps to sum c_i root**i; the digit c_i is the
+        # prime-field constant with index c_i in the target too
+        digits = src.digits_vec(src.all_indices())
+        acc = np.zeros(src.Q, dtype=np.int64)
+        for i, power in enumerate(self.power_idx):
+            acc = target.add_vec(acc, target.mul_vec(digits[:, i], np.int64(power)))
+        image = acc.tolist()
+        self._image = tuple(image)
+        self._preimage = {t: s for s, t in enumerate(image)}
 
     def map_idx(self, a: int) -> int:
-        if self._image is not None:
-            return self._image[a]
-        return self._map_idx(a)
+        return self._image[a]
 
     def preimage_idx(self, t: int) -> int:
-        if self._preimage is None:
-            raise CapExceeded("subfield too large for an eager preimage map")
         try:
             return self._preimage[t]
         except KeyError:
             raise ValueError("element is not in the embedded subfield") from None
 
     def image_indices(self) -> tuple[int, ...]:
-        if self._image is None:
-            raise CapExceeded("subfield too large for an eager image map")
         return self._image
+
+
+class _Identity(_Embedding):
+    """The embedding of a field into itself, which is the identity: it sends
+    x to the least root of the modulus, and that root is x itself. For
+    k >= 2 the modulus has no root in GF(p), and x (index p) is the least
+    index outside GF(p); for k = 1 the modulus is x, whose only root is 0.
+    Every index maps to itself, so no image or preimage map is built."""
+
+    __slots__ = ()
+
+    def __init__(self, fd: FieldDescriptor):
+        self.src = self.target = fd
+        self.root_idx = fd.p if fd.k > 1 else 0
+        self.power_idx = fd._pp[: fd.k]
+
+    def map_idx(self, a: int) -> int:
+        return a
+
+    def preimage_idx(self, t: int) -> int:
+        return t
+
+    def image_indices(self) -> range:
+        return range(self.src.Q)
 
 
 def _roots_of_subfield_modulus(src: FieldDescriptor, target: FieldDescriptor) -> list[int]:
@@ -739,7 +650,7 @@ def get_embedding(src: FieldDescriptor, target: FieldDescriptor) -> _Embedding:
     key = (id(src), id(target))
     got = _EMBED_CACHE.get(key)
     if got is None:
-        got = _Embedding(src, target)
+        got = _Identity(src) if src.k == target.k else _Embedding(src, target)
         _EMBED_CACHE[key] = got
     return got
 

@@ -173,7 +173,13 @@ def binomial_conditions(t: int, Q: int, e: int) -> tuple[bool, bool, bool]:
     (2) every prime of t divides e, (3) Q % 4 == 1 whenever 4 | t. Requires
     e | Q - 1."""
     c1 = math.gcd(t, (Q - 1) // e) == 1
-    c2 = all(e % r == 0 for r in factorize(t).prime_divisors())
+    # every prime of t divides e exactly when dividing t by gcd(t, e), over
+    # and over, leaves 1: no factoring of t, which can take unbounded time
+    rest, g = t, math.gcd(t, e)
+    while g > 1:
+        rest //= g
+        g = math.gcd(rest, e)
+    c2 = rest == 1
     c3 = (Q % 4 == 1) if t % 4 == 0 else True
     return c1, c2, c3
 

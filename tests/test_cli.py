@@ -239,6 +239,8 @@ OVERSIZED = {
     "construct-huge-k": ["construct", "--p", "3", "--k", "300000000", "--h", "2", "--d", "2"],
     "primitive-huge-q": ["primitive", "--q", "1000000000000000003", "--n", "2"],
     "audit-weil-huge-q": ["audit-weil", "--q-list", "1000000000000000003"],
+    "hm-check-huge-p": ["hm-check", "--p-list", "1000000000000000003"],
+    "mn-search-huge-l": ["mn-search", "--q", "3", "--kk", "2", "--l", "100000000"],
 }
 
 
@@ -258,6 +260,22 @@ def test_survey_huge_h_records_cap_row_quickly():
     assert time.perf_counter() - start < 2
     assert code == cli.EXIT_OK
     assert out.splitlines()[1].endswith(",cap: field size 7**100000000 exceeds cap 4194304")
+
+
+def test_construct_forced_huge_prime_t_finishes_quickly():
+    # t = 2**61 - 1 is prime; condition 2 is decided without factoring t
+    start = time.perf_counter()
+    code, out, _ = run(["construct", "--p", "7", "--k", "1", "--h", "2", "--d", "2", "--t", "2305843009213693951"])
+    assert time.perf_counter() - start < 2
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["conditions"][1] is False
+
+
+def test_audit_weil_m1_on_a_large_prime_field():
+    # GF(131071) embeds in itself by the identity, with no image map to build
+    code, out, err = run(["audit-weil", "--q-list", "131071", "--m", "1", "--count", "1"])
+    assert code == cli.EXIT_OK, err
+    assert [row["q"] for row in json.loads(out)] == [131071]
 
 
 def test_verify_over_cap_exits_3(tmp_path):

@@ -4,7 +4,8 @@ embeddings, norms.
 The main oracle is a naive mod-p polynomial arithmetic written here from
 scratch; small fields are compared against it exhaustively. The scalar ops
 are also checked against sympy's galoistools, modulo each field's stored
-modulus.
+modulus, and the modulus search and the prime-field generator against
+sympy's gf_irreducible_p and primitive_root.
 """
 
 import pickle
@@ -13,8 +14,10 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import ZZ
-from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_neg, gf_pow_mod, gf_rem, gf_strip, gf_sub
+from sympy import ZZ, primerange, primitive_root
+from sympy.polys.galoistools import (
+    gf_add, gf_gcdex, gf_irreducible_p, gf_mul, gf_neg, gf_pow_mod, gf_rem, gf_strip, gf_sub,
+)
 
 from ffwitness import field, nt
 from ffwitness.field import (
@@ -84,6 +87,22 @@ def test_modulus_is_minimal_index():
         for idx in range(chosen):
             cand = idx_to_poly(idx, p, k) + [1]
             assert has_root_or_small_factor(cand, p), (p, k, idx)
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (2, 11), (2, 16), (3, 5), (5, 4), (7, 3)])
+def test_modulus_is_minimal_irreducible_per_sympy(p, k):
+    # the search runs through poly.is_irreducible; sympy's test is the oracle
+    def irreducible(idx):
+        return gf_irreducible_p([ZZ(1)] + [ZZ(c) for c in reversed(idx_to_poly(idx, p, k))], p, ZZ)
+
+    chosen = poly_to_idx(make_field(p, k).modulus[:-1], p)
+    assert irreducible(chosen)
+    assert not any(irreducible(idx) for idx in range(chosen))
+
+
+def test_prime_field_generator_is_least_primitive_root():
+    for p in primerange(3, 3000):
+        assert make_field(p, 1).generator_index == primitive_root(p), p
 
 
 def has_root_or_small_factor(coeffs, p):
@@ -240,10 +259,11 @@ def test_exp_doubling_matches_matmul(k):
 @pytest.mark.parametrize("p,k", [(3, 8), (2, 12)])
 def test_bijection_check_rejects_non_primitive_generator(p, k, monkeypatch):
     # (3, 8) takes the matmul path past one block, (2, 12) the doubling path
-    find = field.FieldDescriptor._find_generator
+    built = make_field(p, k)
     r = min(nt.factorize(p**k - 1).prime_divisors())
     # g**r has order (Q-1)/r, so its powers miss most nonzero elements
-    monkeypatch.setattr(field.FieldDescriptor, "_find_generator", lambda fd: fd._pow_poly(find(fd), r))
+    g_r = built.pow_idx(built.generator_index, r)
+    monkeypatch.setattr(field.FieldDescriptor, "_find_generator", lambda fd: g_r)
     with pytest.raises(RuntimeError, match="exp table is not a bijection"):
         field.FieldDescriptor(p, k, field.DEFAULT_CAP)
 
@@ -257,7 +277,8 @@ def test_luts_match_scalar(p, k):
         return poly_to_idx([x + y for x, y in zip(idx_to_poly(a, p, k), idx_to_poly(b, p, k))], p)
 
     assert fd._add_lut == [[digit_sum(a, b) for b in range(Q)] for a in range(Q)]
-    assert fd._mul_lut == [[fd._mul_poly(a, b) for b in range(Q)] for a in range(Q)]
+    digits, mod = [idx_to_poly(a, p, k) for a in range(Q)], list(fd.modulus)
+    assert fd._mul_lut == [[poly_to_idx(naive_mul(x, y, p, mod), p) for y in digits] for x in digits]
 
 
 def test_cap_enforced():
@@ -355,7 +376,26 @@ def test_embedding_matches_whole_field_search(p, m, k):
     coeffs = [c % p for c in src.modulus]
     roots = np.flatnonzero(dst.eval_poly_vec(coeffs, dst.all_indices()) == 0)
     assert emb.root_idx == roots.min()
-    assert emb.image_indices() == tuple(emb._map_idx(a) for a in range(src.Q))
+
+    def scalar_image(a):  # sum c_i root**i, one element at a time
+        out = 0
+        for i, c in enumerate(idx_to_poly(a, p, m)):
+            out = dst.add_idx(out, dst.mul_idx(c, dst.pow_idx(emb.root_idx, i)))
+        return out
+
+    assert tuple(emb.image_indices()) == tuple(scalar_image(a) for a in range(src.Q))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 1), (3, 3), (7, 2), (251, 1)])
+def test_self_embedding_is_the_eager_identity(p, k):
+    # the self-embedding holds no map, but agrees with the eager one the
+    # general construction builds
+    fd = make_field(p, k)
+    emb, eager = get_embedding(fd, fd), field._Embedding(fd, fd)
+    assert tuple(emb.image_indices()) == eager.image_indices() == tuple(range(fd.Q))
+    assert (emb.root_idx, emb.power_idx) == (eager.root_idx, eager.power_idx)
+    for a in range(fd.Q):
+        assert emb.map_idx(a) == eager.map_idx(a) and emb.preimage_idx(a) == eager.preimage_idx(a)
 
 
 def test_embedding_composes_through_tower():

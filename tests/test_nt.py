@@ -1,13 +1,15 @@
 """Integer helpers: factorization, multiplicative functions, the subgroup
 bound M(h), and the t-selection rule.
 
-Oracles: naive trial-division reimplementations inside this file, plus
-hand-checked frozen values.
+Oracles: naive trial-division reimplementations inside this file,
+hand-checked frozen values, and sympy's primefactors for condition 2 of the
+binomial criterion.
 """
 
 from fractions import Fraction
 
 import pytest
+from sympy import primefactors
 
 from ffwitness import nt
 
@@ -158,3 +160,10 @@ def test_choose_t_rejects_q2():
 def test_t_density_frozen():
     assert nt.t_density(7, 2, 48, 10) == (7, Fraction(7, 10))
     assert nt.t_density(3, 2, 8, 4) == (3, Fraction(3, 4))
+
+
+@pytest.mark.parametrize("e", [1, 2, 12, 48, 105, 720, 2310, 4096])
+def test_binomial_condition_2_matches_primefactors(e):
+    # condition 2, decided by repeated gcds, against sympy's factoring
+    for t in range(1, 2001):
+        assert nt.binomial_conditions(t, e + 1, e)[1] == all(e % r == 0 for r in primefactors(t)), (t, e)
