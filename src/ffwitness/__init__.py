@@ -6,13 +6,11 @@ from .field import (
     DEFAULT_CAP,
     FieldDescriptor,
     FieldElement,
-    discrete_log,
     embed,
     frobenius,
     is_dth_power,
     make_field,
     mult_order,
-    norm_to_subfield,
 )
 from .poly import (
     Polynomial,
@@ -21,7 +19,6 @@ from .poly import (
     is_irreducible,
     roots_in_extension,
     squarefree_part_degree,
-    value_set,
 )
 from .charsum import (
     Character,

@@ -25,11 +25,11 @@ from .field import (
     CapExceeded,
     FieldDescriptor,
     FieldElement,
+    cached,
     get_embedding,
     make_field,
     make_field_pair,
     mult_order,
-    register_cache_hook,
 )
 from .poly import (
     Polynomial,
@@ -40,26 +40,15 @@ from .poly import (
     squarefree_part_degree,
 )
 
-_OMEGA_CACHE: dict = {}
-_PROFILE_CACHE: dict = {}
-
-
-def _clear_caches() -> None:
-    _OMEGA_CACHE.clear()
-    _PROFILE_CACHE.clear()
-
-
-register_cache_hook(_clear_caches)
-
 
 def _omega(fd: FieldDescriptor) -> np.ndarray:
-    got = _OMEGA_CACHE.get(fd._key)
-    if got is None:
+    def build():
         n = fd.Q - 1
         got = np.exp(2j * np.pi * np.arange(n) / n)
         got.flags.writeable = False
-        _OMEGA_CACHE[fd._key] = got
-    return got
+        return got
+
+    return cached((fd,), "omega", build)
 
 
 @dataclass(frozen=True)
@@ -176,11 +165,6 @@ def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple
     resolved within the cap.
     """
     B = f.field
-    key = (B._key, f.coeffs, base._key, cap)
-    got = _PROFILE_CACHE.get(key)
-    if got is not None:
-        return got
-
     q = base.Q
     m = B.k // base.k
     fm = f.monic()
@@ -220,9 +204,7 @@ def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple
                 rem = rem // comp
             shortcut_used |= _process_component(fm, comp, i, B, base, cap, classes)
 
-    got = (tuple(classes), shortcut_used)
-    _PROFILE_CACHE[key] = got
-    return got
+    return tuple(classes), shortcut_used
 
 
 def _process_component(
@@ -286,7 +268,8 @@ def weil_applicability(
     bound = (m * D - 1) * math.sqrt(base.Q)
     if chi.is_trivial:
         return WeilApplicability(False, m, D, bound, False, 0)
-    classes, shortcut_used = _root_profile(f, base, cap_eff)
+    key = ("profile", f.coeffs, base._key, cap_eff)
+    classes, shortcut_used = cached((f.field, base), key, lambda: _root_profile(f, base, cap_eff))
     undecided = 0
     decided_true = False
     for mult, image_order in classes:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,16 +46,7 @@ class ConstructionSpec:
         return self.p**self.k
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "h": self.h,
-            "d": self.d,
-            "t": self.t,
-            "r": self.r,
-            "alpha": self.alpha_index,
-            "e": self.e,
-        }
+        return {"alpha" if f.name == "alpha_index" else f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -77,23 +68,9 @@ class ConstructionReport:
     tau_condition: bool | None = None
 
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "conditions": list(self.conditions),
-            "guaranteed": self.guaranteed,
-            "set_indices": list(self.set_indices),
-            "cardinality": self.cardinality,
-            "certificate": self.certificate,
-            "verified": self.verified,
-            "mode": self.mode,
-            "t_strict": self.t_strict,
-            "m_h": self.m_h,
-            "big_field": self.big_field,
-            "base_field": self.base_field,
-            "n_actual": self.n_actual,
-            "n_lower": self.n_lower,
-            "tau_condition": self.tau_condition,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(spec=self.spec.to_json(), conditions=list(self.conditions), set_indices=list(self.set_indices))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +215,9 @@ def coset_power_gcds(q: int, h: int, t: int, *, cap: int | None = None) -> np.nd
     The coset consists entirely of d-th powers iff d divides this gcd, so
     entry 1 certifies a non-d-th power for every d > 1. Entries at alpha in
     the embedded base field (where the coset may contain 0) are not
-    meaningful; callers mask them."""
+    meaningful; callers mask them. Rejects h < 2, where every alpha is."""
+    if h < 2:
+        raise ValueError("h must be >= 2 so that alpha can avoid the base field")
     base, big = make_field_pair(q, h, cap=cap)
     emb = get_embedding(base, big)
     points = np.array(emb.image_indices(), dtype=np.int64)

@@ -18,14 +18,23 @@ or a polynomial product or division (see ``poly``) needs it, so fields that
 only run vector kernels never hold one.
 
 Descriptors are immutable after construction, apart from that lazily built
-Zech table, whose build is idempotent; they are safe to share across
-threads.
+Zech table, whose build is idempotent, and the derived data the cache keeps
+on them (below).
+
+``make_field`` keeps fields in one LRU cache keyed by (p, k), with the data
+derived from them (embeddings, character tables, root profiles; see
+``cached``). An entry counts the bytes of its tables and derived data. The
+budget, 16 * (C + 2 * isqrt(C)) bytes for a cap C, holds one cap-sized field
+and all its proper subfields. Only a miss evicts, least recently used first
+(with all data naming the field) until the new field's 16 * Q bytes fit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+import sys
+from collections import OrderedDict
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,15 +43,16 @@ from . import nt
 DEFAULT_CAP = 1 << 22
 _LUT_CAP = 256
 _TABLE_BLOCK = 4096
+_SCATTER_BLOCK = 1 << 16
 
 
 class CapExceeded(Exception):
     """A field or enumeration size exceeds the configured cap."""
 
 
-def _gf2_times(tables: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _gf2_times(tables: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # the product c * a for indices a of GF(2**k), from the byte tables of c
-    out = tables[0][a & 0xFF]
+    out = np.take(tables[0], a & 0xFF, out=out)
     for b in range(1, len(tables)):
         out ^= tables[b][(a >> (8 * b)) & 0xFF]
     return out
@@ -57,7 +67,7 @@ class FieldDescriptor:
     __slots__ = (
         "p", "k", "Q", "modulus", "generator_index", "_key",
         "_exp", "_log", "_expv", "_logv", "_zech", "_pp", "_pp_np",
-        "_add_lut", "_mul_lut",
+        "_add_lut", "_mul_lut", "_derived",
     )
 
     def __init__(self, p: int, k: int, cap: int):
@@ -78,6 +88,7 @@ class FieldDescriptor:
         self._zech = None
         self._add_lut = None
         self._mul_lut = None
+        self._derived = None  # the cache's derived data while the field is cached
         self.generator_index = self._find_generator()
         self._build_tables()
         if Q <= _LUT_CAP:
@@ -123,10 +134,13 @@ class FieldDescriptor:
         Q = self.Q
         exp = self._exp_by_doubling() if self.p == 2 else self._exp_by_matmul()
         log = np.full(Q, -1, dtype=np.int64)
-        log[exp] = np.arange(Q - 1, dtype=np.int64)
+        # scattered in blocks, so no Q-sized index array is ever allocated
+        for i in range(0, Q - 1, _SCATTER_BLOCK):
+            block = exp[i : i + _SCATTER_BLOCK]
+            log[block] = np.arange(i, i + len(block), dtype=np.int64)
         # Q - 1 values that hit all Q - 1 nonzero indices are a bijection
         # onto them (and leave log[0] = -1)
-        if exp[0] != 1 or not (log[1:] >= 0).all():
+        if exp[0] != 1 or log[1:].min() < 0:
             raise RuntimeError("exp table is not a bijection; generator is wrong")
         exp.flags.writeable = False
         log.flags.writeable = False
@@ -141,11 +155,16 @@ class FieldDescriptor:
         """Z[j] = log(1 + g**j) for 0 <= j < Q - 1, with -1 where
         1 + g**j = 0, built on first use."""
         if self._zech is None:
-            # stored in the smallest signed type holding -Q .. Q - 1, so
-            # 2 bytes an entry on fields of up to 2**15 elements
-            zech = self.log_vec(self.add_vec(self._exp, np.int64(1))).astype(np.min_scalar_type(-self.Q))
+            # the smallest signed type holding -Q .. Q - 1; built in blocks,
+            # as add_vec splits every entry into its k digits
+            zech = np.empty(self.Q - 1, dtype=np.min_scalar_type(-self.Q))
+            for i in range(0, self.Q - 1, _SCATTER_BLOCK):
+                block = self._exp[i : i + _SCATTER_BLOCK]
+                zech[i : i + len(block)] = self.log_vec(self.add_vec(block, np.int64(1)))
             zech.flags.writeable = False
             self._zech = memoryview(zech)
+            if self._derived is not None:  # charged to its cache entry
+                _STATS["bytes"] += zech.nbytes
         return self._zech
 
     def _exp_by_matmul(self) -> np.ndarray:
@@ -210,7 +229,9 @@ class FieldDescriptor:
                 if v >> k:
                     v ^= mod_bits
             m = min(n, Qm1 - n)
-            exp[n : n + m] = _gf2_times(tables, exp[:m])
+            for i in range(0, m, _SCATTER_BLOCK):  # in place, block by block
+                j = min(i + _SCATTER_BLOCK, m)
+                _gf2_times(tables, exp[i:j], out=exp[n + i : n + j])
             gn = _gf2_times(tables, gn)
             n += m
         return exp
@@ -375,6 +396,12 @@ class FieldDescriptor:
                 acc = self.add_vec(acc, np.array(c, dtype=np.int64))
         return acc
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of exp, log, the LUTs (8-byte list slots) and Zech, if built."""
+        luts = 16 * self.Q * self.Q if self._add_lut is not None else 0
+        return self._exp.nbytes + self._log.nbytes + luts + (self._zech.nbytes if self._zech is not None else 0)
+
     def __reduce__(self):
         # memoryviews do not pickle; the construction is deterministic, so a
         # descriptor travels as its (p, k) and is rebuilt on arrival
@@ -402,9 +429,6 @@ class FieldDescriptor:
         if not 0 <= x < self.Q:
             raise ValueError(f"index {x} out of range for GF({self.Q})")
         return FieldElement(self, x)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
-        return FieldElement(self, self.index_of(coeffs))
 
     def elements(self) -> Iterator["FieldElement"]:
         for idx in range(self.Q):
@@ -489,8 +513,11 @@ class FieldElement:
 # construction cache and the cross-field maps
 
 
-_FIELD_CACHE: dict = {}
-_EMBED_CACHE: dict = {}
+CACHE_BUDGET = 16 * (DEFAULT_CAP + 2 * math.isqrt(DEFAULT_CAP))
+# (p, k) -> field, least recently used first; a cached field's _derived maps
+# key -> (derived value, keys of the fields it names)
+_CACHE: OrderedDict = OrderedDict()
+_STATS = dict.fromkeys(("hits", "misses", "evictions", "bytes"), 0)
 _CACHE_HOOKS: list = []
 
 
@@ -500,11 +527,48 @@ def register_cache_hook(fn) -> None:
 
 
 def clear_field_cache() -> None:
-    """Drop all cached descriptors, embeddings, and dependent caches."""
-    _FIELD_CACHE.clear()
-    _EMBED_CACHE.clear()
+    """Drop every cached field and its data, zero the counters, run the hooks."""
+    for fd in _CACHE.values():
+        fd._derived = None
+    _CACHE.clear()
+    _STATS.update(dict.fromkeys(_STATS, 0))
     for fn in _CACHE_HOOKS:
         fn()
+
+
+def _nbytes(fd: FieldDescriptor) -> int:
+    return fd.nbytes + sum(getattr(value, "nbytes", 0) for value, _ in fd._derived.values())
+
+
+def cache_info() -> dict:
+    """Hits, misses and evictions since the last clear; bytes held, budget, entries."""
+    return {**_STATS, "budget": CACHE_BUDGET, "entries": len(_CACHE)}
+
+
+def cached(fields: Sequence[FieldDescriptor], key, build: Callable):
+    """Data derived from fields, built once and held under key (naming the
+    other fields by their ``_key``) in the entry of fields[0], which its
+    ``nbytes`` is charged to, until any of the fields is evicted; built but
+    not held when a field is not in the cache."""
+    derived = fields[0]._derived
+    if derived is not None and key in derived:
+        return derived[key][0]
+    value = build()
+    if all(f._derived is not None for f in fields):  # the build may evict
+        fields[0]._derived[key] = (value, {(f.p, f.k) for f in fields})
+        _STATS["bytes"] += getattr(value, "nbytes", 0)
+    return value
+
+
+def _evict_lru() -> None:
+    # evicts the least recently used field and all data naming it
+    key, fd = _CACHE.popitem(last=False)
+    _STATS["bytes"] -= _nbytes(fd)
+    fd._derived = None
+    for other in _CACHE.values():
+        for dkey in [d for d, (_, names) in other._derived.items() if key in names]:
+            _STATS["bytes"] -= getattr(other._derived.pop(dkey)[0], "nbytes", 0)
+    _STATS["evictions"] += 1
 
 
 def make_field(p: int, k: int, *, cap: int | None = None) -> FieldDescriptor:
@@ -516,24 +580,31 @@ def make_field(p: int, k: int, *, cap: int | None = None) -> FieldDescriptor:
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     if p > cap or k > cap.bit_length():
-        # p**k > cap already; checked before is_prime factors p and before
-        # p**k is formed, either of which can take unbounded time
+        # p**k > cap already; checked before is_prime, which refuses
+        # p >= 2**63, and before p**k is formed, which can take unbounded time
         raise CapExceeded(f"field size {p}**{k} exceeds cap {cap}")
     if not nt.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p**k > cap:
         raise CapExceeded(f"field size {p}**{k} exceeds cap {cap}")
     key = (p, k)
-    got = _FIELD_CACHE.get(key)
-    if got is None:
-        got = FieldDescriptor(p, k, cap)
-        _FIELD_CACHE[key] = got
-    return got
+    if key in _CACHE:
+        _CACHE.move_to_end(key)
+        _STATS["hits"] += 1
+        return _CACHE[key]
+    _STATS["misses"] += 1
+    budget = CACHE_BUDGET if cap <= DEFAULT_CAP else max(CACHE_BUDGET, 16 * (cap + 2 * math.isqrt(cap)))
+    while _CACHE and _STATS["bytes"] + 16 * p**k > budget:
+        _evict_lru()
+    fd = FieldDescriptor(p, k, cap)
+    _CACHE[key], fd._derived = fd, {}
+    _STATS["bytes"] += fd.nbytes
+    return fd
 
 
 def make_field_pair(q: int, h: int, *, cap: int | None = None) -> tuple[FieldDescriptor, FieldDescriptor]:
     """GF(q) and GF(q**h) for a prime power q. q is checked against the cap
-    before it is factored, which can take unbounded time."""
+    before the prime-power test, which refuses q >= 2**63."""
     if cap is None:
         cap = DEFAULT_CAP
     if q > cap:
@@ -570,7 +641,7 @@ class _Embedding:
     would need a target of 2**34, whose tables cannot be built. A field's
     embedding into itself is _Identity, which holds no map."""
 
-    __slots__ = ("src", "target", "root_idx", "power_idx", "_image", "_preimage")
+    __slots__ = ("src", "target", "root_idx", "power_idx", "_image", "_preimage", "nbytes")
 
     def __init__(self, src: FieldDescriptor, target: FieldDescriptor):
         self.src = src
@@ -592,6 +663,8 @@ class _Embedding:
         image = acc.tolist()
         self._image = tuple(image)
         self._preimage = {t: s for s, t in enumerate(image)}
+        # the image tuple and the preimage dict, whose ints they share
+        self.nbytes = sys.getsizeof(self._image) + sys.getsizeof(self._preimage)
 
     def map_idx(self, a: int) -> int:
         return self._image[a]
@@ -617,6 +690,7 @@ class _Identity(_Embedding):
 
     def __init__(self, fd: FieldDescriptor):
         self.src = self.target = fd
+        self.nbytes = 0
         self.root_idx = fd.p if fd.k > 1 else 0
         self.power_idx = fd._pp[: fd.k]
 
@@ -647,12 +721,10 @@ def get_embedding(src: FieldDescriptor, target: FieldDescriptor) -> _Embedding:
         raise ValueError("fields have different characteristic")
     if target.k % src.k != 0:
         raise ValueError(f"GF({src.Q}) does not embed in GF({target.Q}): {src.k} does not divide {target.k}")
-    key = (id(src), id(target))
-    got = _EMBED_CACHE.get(key)
-    if got is None:
-        got = _Identity(src) if src.k == target.k else _Embedding(src, target)
-        _EMBED_CACHE[key] = got
-    return got
+    return cached(
+        (target, src), ("embedding", src._key),
+        lambda: _Identity(src) if src.k == target.k else _Embedding(src, target),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +740,6 @@ def embed(a: FieldElement, target: FieldDescriptor) -> FieldElement:
 def mult_order(beta: FieldElement) -> int:
     """Multiplicative order of a nonzero element."""
     return beta.field.mult_order_idx(beta.idx)
-
-
-def discrete_log(beta: FieldElement) -> int:
-    """j with generator**j == beta. Needs log tables; rejects zero."""
-    return beta.field.log_idx(beta.idx)
 
 
 def is_dth_power(beta: FieldElement, d: int) -> bool:
@@ -695,19 +762,3 @@ def frobenius(beta: FieldElement, times: int = 1) -> FieldElement:
     if times < 0:
         raise ValueError("times must be >= 0")
     return beta ** pow(beta.field.p, times, beta.field.Q - 1) if beta.idx != 0 else beta.field.zero
-
-
-def norm_to_subfield(beta: FieldElement, m: int) -> FieldElement:
-    """Norm from GF(p**k) down to GF(p**m), m | k, re-expressed as an element
-    of the standalone GF(p**m): beta**((p**k - 1)/(p**m - 1)) lands in the
-    embedded subfield; return its preimage."""
-    fd = beta.field
-    if m < 1 or fd.k % m != 0:
-        raise ValueError(f"{m} does not divide the extension degree {fd.k}")
-    sub = make_field(fd.p, m, cap=max(DEFAULT_CAP, fd.p**m))
-    if beta.idx == 0:
-        return sub.zero
-    n_exp = (fd.Q - 1) // (sub.Q - 1)
-    gamma = fd.pow_idx(beta.idx, n_exp)
-    emb = get_embedding(sub, fd)
-    return FieldElement(sub, emb.preimage_idx(gamma))

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 # Trial division is exact but quadratic in the bit length; keep inputs small.
 FACTOR_CAP = 1 << 63
@@ -51,21 +50,38 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
+# Miller-Rabin with these bases is exact below 3.3 * 10**24, far beyond 2**63
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test. Requires n < 2**63."""
+    if n >= FACTOR_CAP:
+        raise ValueError(f"is_prime input {n} exceeds cap 2**63")
     if n < 2:
         return False
-    f = factorize(n)
-    return len(f.factors) == 1 and f.factors[0] == (n, 1)
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2**s * d, d odd
+    d = (n - 1) >> s
+    # n is a strong probable prime to base b when b**d = 1 or some
+    # b**(d * 2**r) = -1, r < s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s)) for b in _MR_BASES)
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n == p**k, or None if n is not a prime power."""
+    """(p, k) with n == p**k, or None if n is no prime power. Needs n < 2**63."""
     if n < 2:
         return None
-    f = factorize(n)
-    if len(f.factors) != 1:
-        return None
-    return f.factors[0]
+    if is_prime(n):
+        return n, 1
+    # below 2**63 a float k-th root of a k-th power rounds to the exact root
+    for k in range(2, n.bit_length()):
+        r = round(n ** (1 / k))
+        if r**k == n and is_prime(r):
+            return r, k
+    return None
 
 
 def prime_powers_in(lo: int, hi: int) -> list[int]:
@@ -182,19 +198,3 @@ def binomial_conditions(t: int, Q: int, e: int) -> tuple[bool, bool, bool]:
     c2 = rest == 1
     c3 = (Q % 4 == 1) if t % 4 == 0 else True
     return c1, c2, c3
-
-
-def t_density(q: int, h: int, e: int, bound: int) -> tuple[int, Fraction]:
-    """Count t in 1..bound satisfying the binomial conditions of the
-    guarantee for exponent e over GF(q**h).
-
-    Returns (count, Fraction(count, bound)). Requires e | q**h - 1.
-    """
-    _check_prime_power(q)
-    if h < 1 or bound < 1:
-        raise ValueError("t_density requires h >= 1 and bound >= 1")
-    qh = q**h
-    if e < 1 or (qh - 1) % e != 0:
-        raise ValueError(f"e={e} must divide q**h - 1 = {qh - 1}")
-    count = sum(all(binomial_conditions(t, qh, e)) for t in range(1, bound + 1))
-    return count, Fraction(count, bound)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import nt
 from .field import CapExceeded, FieldDescriptor, FieldElement, embed, get_embedding, mult_order
 
@@ -159,11 +157,6 @@ class Polynomial:
     @property
     def coefficients(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.field, c) for c in self.coeffs)
-
-    def leading_idx(self) -> int:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -377,13 +370,6 @@ def composed_irreducible_check(f: Polynomial, t: int) -> tuple[bool, tuple[bool,
             e //= r
     conds = nt.binomial_conditions(t, Qn, e)
     return all(conds), conds
-
-
-def value_set(f: Polynomial) -> set[FieldElement]:
-    """The image {f(a) : a in the field}, by full enumeration."""
-    fd = f.field
-    vals = fd.eval_poly_vec(f.coeffs, fd.all_indices())
-    return {FieldElement(fd, int(v)) for v in np.unique(vals)}
 
 
 def pth_root_poly(f: Polynomial) -> Polynomial:

@@ -2,13 +2,19 @@
 resource-cap override."""
 
 import contextlib
+import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from sympy import factorint
 
-from ffwitness import cli
+from ffwitness import cli, field
 from ffwitness.field import clear_field_cache
 
 
@@ -260,6 +266,56 @@ def test_survey_huge_h_records_cap_row_quickly():
     assert time.perf_counter() - start < 2
     assert code == cli.EXIT_OK
     assert out.splitlines()[1].endswith(",cap: field size 7**100000000 exceeds cap 4194304")
+
+
+def test_survey_far_above_the_cap_records_cap_rows_quickly():
+    # prime powers are found by Miller-Rabin and integer roots, and each is
+    # refused by the cap before q - 1 is factored
+    lo = 10**18
+    want = [q for q in range(lo, lo + 11) if len(factorint(q)) == 1]
+    start = time.perf_counter()
+    code, out, _ = run(["survey", "--q-min", str(lo), "--q-max", str(lo + 10), "--format", "csv"])
+    assert time.perf_counter() - start < 2
+    assert code == cli.EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert want and [int(r["q"]) for r in rows] == want
+    assert all(r["status"].startswith("cap: field size") for r in rows)
+
+
+def test_survey_is_byte_identical_under_a_tiny_cache_budget(monkeypatch):
+    argv = ["survey", "--q-min", "7", "--q-max", "60", "--h", "2", "--d", "3", "--format", "csv"]
+    clear_field_cache()
+    want = run(argv)
+    monkeypatch.setattr(field, "CACHE_BUDGET", 1 << 16)
+    clear_field_cache()
+    assert run(argv) == want
+    info = field.cache_info()
+    assert info["evictions"] > 0
+    # the running byte count agrees with a recount of every entry
+    assert info["bytes"] == sum(map(field._nbytes, field._CACHE.values()))
+    clear_field_cache()
+
+
+RSS_PROBE = """
+import contextlib, io, resource, sys
+from ffwitness import cli
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+def test_cap_window_survey_memory_is_bounded():
+    # GF(2039**2) and GF(2**22) each need 64 MiB of tables; the cache
+    # evicts the first before it builds the second
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["survey", "--q-min", "2030", "--q-max", "2048", "--h", "2", "--d", "3", "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", RSS_PROBE, *argv], capture_output=True, text=True, env=env, check=True)
+    code, grown_kib = map(int, out.stdout.split())
+    assert code == cli.EXIT_OK
+    assert grown_kib <= 128 * 1024, f"peak RSS grew {grown_kib} KiB after import"
 
 
 def test_construct_forced_huge_prime_t_finishes_quickly():

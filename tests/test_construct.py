@@ -8,6 +8,7 @@ size 7 whose first non-square has index 9, and q = 81 reaches t = 4 with
 import copy
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ def test_coset_power_gcds_intermediate_subfield():
         assert g[a] == 10
     outside = set(range(81)) - f9_img
     assert all(g[a] == 1 for a in outside)
+
+
+def test_coset_scans_reject_h_below_2_at_once():
+    # at h = 1 every alpha lies in the base field; the q whole-field passes
+    # are refused, not run
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="h must be >= 2"):
+        coset_power_gcds(8191, 1, 1)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="h must be >= 2"):
+        alpha_density_scan(7, 1, 1, 2)
 
 
 def test_alpha_density_scan_q7():

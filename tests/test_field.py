@@ -24,14 +24,13 @@ from ffwitness.field import (
     CapExceeded,
     FieldElement,
     clear_field_cache,
-    discrete_log,
     embed,
     frobenius,
     get_embedding,
     is_dth_power,
     make_field,
+    make_field_pair,
     mult_order,
-    norm_to_subfield,
 )
 
 
@@ -332,12 +331,6 @@ def test_mixed_field_operands_rejected():
         a + b
 
 
-def test_from_coeffs_roundtrip():
-    fd = make_field(3, 2)
-    el = fd.from_coeffs([2, 1])
-    assert el.idx == 2 + 1 * 3
-
-
 def test_json_roundtrip_and_drift():
     # a rebuild from (p, k) alone reproduces the serialized descriptor; a
     # report whose stored descriptor drifted is refused by verify (see
@@ -423,22 +416,6 @@ def test_image_indices_count():
     assert len(set(img)) == 9
 
 
-def test_norm_anchor():
-    # Norm from GF(9) to GF(3) of x+1 is (x+1)**(1+3) = 2
-    f9 = make_field(3, 2)
-    el = f9.element(4)
-    nm = norm_to_subfield(el, 1)
-    assert nm.field.Q == 3 and nm.idx == 2
-
-
-def test_norm_is_multiplicative_and_surjective():
-    f9 = make_field(3, 2)
-    imgs = set()
-    for a in range(1, 9):
-        imgs.add(norm_to_subfield(f9.element(a), 1).idx)
-    assert imgs == {1, 2}
-
-
 def test_frobenius_fixes_exactly_base():
     f3, f9 = make_field(3, 1), make_field(3, 2)
     base_img = set(get_embedding(f3, f9).image_indices())
@@ -454,14 +431,6 @@ def test_mult_order_and_dth_power():
     assert squares == {1, 2, 4}
     brute = {f7.mul_idx(a, a) for a in range(1, 7)}
     assert squares == brute
-
-
-def test_discrete_log_matches_brute():
-    f7 = make_field(7, 1)
-    g = f7.generator_index
-    for a in range(1, 7):
-        n = discrete_log(f7.element(a))
-        assert f7.pow_idx(g, n) == a
 
 
 def test_descriptor_pickles_as_the_cached_field():
@@ -548,4 +517,64 @@ def test_zech_table_is_built_on_first_scalar_addition():
     n = fd.Q - 1
     # 1 + g**j = 0 exactly at g**j = -1, j = n/2
     assert len(zech) == n and [j for j in range(n) if zech[j] < 0] == [n // 2]
+    clear_field_cache()
+
+
+# -- the bounded field cache ----------------------------------------------------
+
+def test_eviction_drops_the_data_naming_the_field(monkeypatch):
+    clear_field_cache()
+    f3, f9 = make_field(3, 1), make_field(3, 2)  # GF(3) is built first
+    emb = get_embedding(f3, f9)
+    assert field.cache_info()["bytes"] == f3.nbytes + f9.nbytes + emb.nbytes
+    # room for GF(5) once one byte is freed: only the least recently used
+    # GF(3) goes, with the embedding that GF(9)'s entry holds for it
+    monkeypatch.setattr(field, "CACHE_BUDGET", field.cache_info()["bytes"] + 16 * 5 - 1)
+    make_field(5, 1)
+    info = field.cache_info()
+    assert (info["evictions"], info["entries"]) == (1, 2)
+    assert field._CACHE[(3, 2)]._derived == {} and info["bytes"] == f9.nbytes + make_field(5, 1).nbytes
+    assert make_field(3, 2) is f9
+    g3 = make_field(3, 1)
+    assert g3 is not f3 and get_embedding(g3, f9).src is g3
+    clear_field_cache()
+
+
+def test_rebuilt_field_gets_a_fresh_embedding(monkeypatch):
+    clear_field_cache()
+    f3, f9 = make_field(3, 1), make_field(3, 2)
+    assert get_embedding(f3, f9).target is f9
+    monkeypatch.setattr(field, "CACHE_BUDGET", 0)
+    make_field(7, 1)  # evicts everything
+    monkeypatch.undo()
+    g3, g9 = make_field(3, 1), make_field(3, 2)
+    assert g9 is not f9
+    emb = get_embedding(g3, g9)
+    assert emb.target is g9 and emb.src is g3
+    # a descriptor that is no longer cached gets a map, but it is not held
+    assert get_embedding(f3, f9).target is f9 and get_embedding(g3, g9) is emb
+    clear_field_cache()
+
+
+def test_lazy_tables_are_charged_to_their_entry():
+    clear_field_cache()
+    fd = make_field(101, 2)
+    before = field.cache_info()["bytes"]
+    fd.add_idx(5, 7)  # builds the Zech table
+    assert field.cache_info()["bytes"] == before + fd.zech_table().nbytes
+    clear_field_cache()
+    assert field.cache_info() == {
+        "hits": 0, "misses": 0, "evictions": 0, "bytes": 0, "budget": field.CACHE_BUDGET, "entries": 0,
+    }
+
+
+def test_cap_sized_pair_is_built_once():
+    # the budget holds a cap-sized field and all its proper subfields, so
+    # GF(2**11) and GF(2**22) do not evict each other
+    clear_field_cache()
+    pairs = [make_field_pair(2048, 2) for _ in range(20)]
+    assert all(big is pairs[0][1] for _, big in pairs)
+    info = field.cache_info()
+    assert (info["misses"], info["evictions"]) == (3, 0)  # GF(2), GF(2**11), GF(2**22)
+    assert info["bytes"] <= info["budget"]
     clear_field_cache()

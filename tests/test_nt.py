@@ -2,14 +2,14 @@
 bound M(h), and the t-selection rule.
 
 Oracles: naive trial-division reimplementations inside this file,
-hand-checked frozen values, and sympy's primefactors for condition 2 of the
-binomial criterion.
+hand-checked frozen values, sympy's primefactors for condition 2 of the
+binomial criterion, and sympy's isprime, primerange and perfect_power for
+the Miller-Rabin primality and prime-power tests.
 """
 
-from fractions import Fraction
 
 import pytest
-from sympy import primefactors
+from sympy import isprime, nextprime, perfect_power, primefactors, prevprime, primerange
 
 from ffwitness import nt
 
@@ -157,13 +157,32 @@ def test_choose_t_rejects_q2():
         nt.choose_t(2, 3)
 
 
-def test_t_density_frozen():
-    assert nt.t_density(7, 2, 48, 10) == (7, Fraction(7, 10))
-    assert nt.t_density(3, 2, 8, 4) == (3, Fraction(3, 4))
-
-
 @pytest.mark.parametrize("e", [1, 2, 12, 48, 105, 720, 2310, 4096])
 def test_binomial_condition_2_matches_primefactors(e):
     # condition 2, decided by repeated gcds, against sympy's factoring
     for t in range(1, 2001):
         assert nt.binomial_conditions(t, e + 1, e)[1] == all(e % r == 0 for r in primefactors(t)), (t, e)
+
+
+def test_prime_and_prime_power_tests_match_sympy():
+    powers = {p**k: (p, k) for p in primerange(2, 20_000) for k in range(1, 15) if p**k < 20_000}
+    for n in range(20_000):
+        assert nt.is_prime(n) == isprime(n), n
+        assert nt.is_prime_power(n) == powers.get(n), n
+
+
+def test_prime_powers_near_2_62():
+    # p**k just below 2**62 for k = 1, 2, 3, 5, 31 and 62, and their neighbours
+    for k in (1, 2, 3, 5, 31, 62):
+        p = prevprime(round(2 ** (62 / k)) + 1) if k < 62 else 2
+        q = p**k
+        assert nt.is_prime_power(q) == (p, k)
+        for n in (q - 1, q + 1, q * nextprime(p) // p):
+            pp = perfect_power(n)
+            want = (n, 1) if isprime(n) else tuple(pp) if pp and isprime(pp[0]) else None
+            assert nt.is_prime_power(n) == want, n
+    assert nt.is_prime(2**61 - 1) and not nt.is_prime(3825123056546413051)  # a strong pseudoprime to 2..23
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        nt.is_prime(2**63)
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        nt.is_prime_power(2**63 + 1)

@@ -30,7 +30,6 @@ from ffwitness.poly import (
     roots_in_extension,
     squarefree_part,
     squarefree_part_degree,
-    value_set,
 )
 
 
@@ -268,15 +267,6 @@ def test_composed_check_t1_vacuous():
     f7 = make_field(7, 1)
     f = Polynomial(f7, (4, 1))
     assert composed_irreducible_check(f, 1)[0] is True
-
-
-def test_value_set_anchor():
-    f7 = make_field(7, 1)
-    cubes = value_set(Polynomial(f7, (0, 0, 0, 1)))
-    assert {e.idx for e in cubes} == {0, 1, 6}
-    # x**3 permutes GF(5) since gcd(3, 4) == 1
-    f5 = make_field(5, 1)
-    assert len(value_set(Polynomial(f5, (0, 0, 0, 1)))) == 5
 
 
 def test_pth_root_poly():
