@@ -6,7 +6,6 @@ from .field import (
     DEFAULT_CAP,
     FieldDescriptor,
     FieldElement,
-    embed,
     frobenius,
     is_dth_power,
     make_field,

@@ -22,7 +22,6 @@ import numpy as np
 from . import nt
 from .field import (
     DEFAULT_CAP,
-    CapExceeded,
     FieldDescriptor,
     FieldElement,
     cached,
@@ -118,6 +117,14 @@ class CharSumResult:
     applicable: bool | None
     m: int
     D: int
+
+    @property
+    def ok(self) -> bool | None:
+        """Whether |value| is within the bound (to 1e-6); None unless the
+        bound is known to apply."""
+        if self.applicable is not True:
+            return None
+        return abs(self.value) <= self.bound + 1e-6
 
     def to_json(self) -> dict:
         return {
@@ -363,9 +370,7 @@ class WeilAuditRow:
 
     @property
     def ok(self) -> bool | None:
-        if self.result.applicable is not True:
-            return None
-        return abs(self.result.value) <= self.result.bound + 1e-6
+        return self.result.ok
 
 
 def weil_audit_instances(

@@ -174,31 +174,26 @@ def _cmd_mn_search(args) -> int:
     return EXIT_OK if witness is not None else EXIT_AUDIT
 
 
+def _checks_out(key: str, results: list[dict], args) -> int:
+    # one {key: ..., "ok": ...} row per checked field
+    all_ok = all(r["ok"] for r in results)
+    if args.format == "csv":
+        _emit(_csv_text(results, [key, "ok"]), args.out)
+    else:
+        _emit(_json_text({"results": results, "all_ok": all_ok}), args.out)
+    return EXIT_OK if all_ok else EXIT_AUDIT
+
+
 def _cmd_ck_check(args) -> int:
     cap = _effective_cap(args)
-    results = []
-    for q in nt.prime_powers_in(args.q_min, args.q_max):
-        if q % 2 == 1:
-            results.append({"q": q, "ok": coulter_kosick_check(q, cap=cap)})
-    payload = {"results": results, "all_ok": all(r["ok"] for r in results)}
-    if args.format == "csv":
-        _emit(_csv_text(results, ["q", "ok"]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK if payload["all_ok"] else EXIT_AUDIT
+    qs = [q for q in nt.prime_powers_in(args.q_min, args.q_max) if q % 2 == 1]
+    return _checks_out("q", [{"q": q, "ok": coulter_kosick_check(q, cap=cap)} for q in qs], args)
 
 
 def _cmd_hm_check(args) -> int:
     cap = _effective_cap(args)
-    results = []
-    for p in [int(x) for x in args.p_list.split(",") if x]:
-        results.append({"p": p, "ok": hm_artin_schreier_check(p, cap=cap)})
-    payload = {"results": results, "all_ok": all(r["ok"] for r in results)}
-    if args.format == "csv":
-        _emit(_csv_text(results, ["p", "ok"]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK if payload["all_ok"] else EXIT_AUDIT
+    ps = [int(x) for x in args.p_list.split(",") if x]
+    return _checks_out("p", [{"p": p, "ok": hm_artin_schreier_check(p, cap=cap)} for p in ps], args)
 
 
 def _cmd_verify(args) -> int:

@@ -22,7 +22,7 @@ from .field import (
     make_field,
     make_field_pair,
 )
-from .poly import Polynomial, is_irreducible
+from .poly import Polynomial, is_irreducible, roots_in_extension
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,7 @@ def construct_pipeline(
         raise ValueError("h must be >= 2 so that alpha can avoid the base field")
     base = make_field(p, k, cap=cap)
     big = make_field(p, k * h, cap=cap)
-    q = base.Q
-    qh = big.Q
+    q, qh = base.Q, big.Q
     if d < 1 or (qh - 1) % d != 0:
         raise ValueError(f"d = {d} must divide q**h - 1 = {qh - 1}")
     r: int | None
@@ -179,33 +178,63 @@ def construct_pipeline(
         if t < 1:
             raise ValueError("forced t must be >= 1")
         r = None
+    return _report(base, big, h, d, t, r, alpha_index, "non_dth_power")
+
+
+def _report(
+    base: FieldDescriptor, big: FieldDescriptor, h: int, d: int | None, t: int, r: int | None,
+    alpha_index: int | None, mode: str,
+) -> ConstructionReport:
+    """The report of S = {alpha - x**t} in either mode: alpha, its order and
+    the conditions, then S and its certificate, the first non-d-th power
+    ("non_dth_power") or the first primitive element ("primitive")."""
+    q, qh1 = base.Q, big.Q - 1
     alpha_index = _choose_alpha(big, base, alpha_index)
-    alpha = FieldElement(big, alpha_index)
     e = big.mult_order_idx(alpha_index)
-    spec = ConstructionSpec(p, k, h, d, t, r, alpha_index, e)
+    spec = ConstructionSpec(base.p, base.k, h, d, t, r, alpha_index, e)
     conditions = theorem_conditions_check(spec)
-    S = build_set(alpha, t, base)
-    cert = find_non_dth_power(S, d)
-    m_h = nt.m_of_h(q, h) if q >= 3 else 1
-    t_strict = _strict_t(r, h, q) if r is not None else t
+    S = build_set(FieldElement(big, alpha_index), t, base)
+    members = sorted(b.idx for b in S)
+    extra = {}
+    if mode == "primitive":
+        prim = [m for m in members if m != 0 and math.gcd(big.log_idx(m), qh1) == 1]
+        cert = prim[0] if prim else None
+        n_lower, tau_cond = primitive_lower_bound(q, h, t)
+        guaranteed = (e == qh1) and all(conditions[:3]) and tau_cond
+        extra = {"n_actual": len(prim), "n_lower": n_lower, "tau_condition": tau_cond}
+    else:
+        beta = find_non_dth_power(S, d)
+        cert = beta.idx if beta is not None else None
+        guaranteed = all(conditions) and d > 1
     return ConstructionReport(
         spec=spec,
         conditions=conditions,
-        guaranteed=all(conditions) and d > 1,
-        set_indices=tuple(sorted(b.idx for b in S)),
-        cardinality=len(S),
-        certificate=cert.idx if cert is not None else None,
+        guaranteed=guaranteed,
+        set_indices=tuple(members),
+        cardinality=len(members),
+        certificate=cert,
         verified=cert is not None,
-        mode="non_dth_power",
-        t_strict=t_strict,
-        m_h=m_h,
+        mode=mode,
+        t_strict=_strict_t(r, h, q) if r is not None else t,
+        m_h=nt.m_of_h(q, h) if q >= 3 else 1,
         big_field=big.to_json(),
         base_field=base.to_json(),
+        **extra,
     )
 
 
 # ---------------------------------------------------------------------------
 # vectorized whole-field scans
+
+
+def _shifted_logs(base: FieldDescriptor, big: FieldDescriptor, t: int):
+    """For each distinct s = x**t, x in the embedded base field, in
+    ascending index order: the discrete logs of alpha - s at every alpha of
+    big (-1 where alpha = s)."""
+    points = np.array(get_embedding(base, big).image_indices(), dtype=np.int64)
+    all_idx = big.all_indices()
+    for s in np.unique(big.pow_vec(points, t)):
+        yield big.log_vec(big.sub_vec(all_idx, np.int64(s)))
 
 
 def coset_power_gcds(q: int, h: int, t: int, *, cap: int | None = None) -> np.ndarray:
@@ -219,13 +248,8 @@ def coset_power_gcds(q: int, h: int, t: int, *, cap: int | None = None) -> np.nd
     if h < 2:
         raise ValueError("h must be >= 2 so that alpha can avoid the base field")
     base, big = make_field_pair(q, h, cap=cap)
-    emb = get_embedding(base, big)
-    points = np.array(emb.image_indices(), dtype=np.int64)
-    powered = np.unique(big.pow_vec(points, t))
-    all_idx = big.all_indices()
     g = np.zeros(big.Q, dtype=np.int64)
-    for s in powered:
-        logs = big.log_vec(big.sub_vec(all_idx, np.int64(s)))
+    for logs in _shifted_logs(base, big, t):
         np.gcd(g, np.where(logs < 0, 0, logs), out=g)
     np.gcd(g, np.int64(big.Q - 1), out=g)
     return g
@@ -277,14 +301,9 @@ def coulter_kosick_check(q: int, *, cap: int | None = None) -> bool:
     if q % 2 == 0 or q < 7:
         raise ValueError("q must be an odd prime power >= 7")
     base, big = make_field_pair(q, 2, cap=cap)
-    emb = get_embedding(base, big)
-    points = np.array(emb.image_indices(), dtype=np.int64)
-    squares = np.unique(big.pow_vec(points, 2))
-    all_idx = big.all_indices()
     has_square = np.zeros(big.Q, dtype=bool)
     has_nonsquare = np.zeros(big.Q, dtype=bool)
-    for s in squares:
-        logs = big.log_vec(big.sub_vec(all_idx, np.int64(s)))
+    for logs in _shifted_logs(base, big, 2):
         nz = logs >= 0
         has_square |= nz & (logs % 2 == 0)
         has_nonsquare |= nz & (logs % 2 == 1)
@@ -292,43 +311,10 @@ def coulter_kosick_check(q: int, *, cap: int | None = None) -> bool:
     return bool(np.all((has_square & has_nonsquare)[outside]))
 
 
-def _solve_mod_p(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
-    """One solution of A x = b over Z_p by Gaussian elimination, free
-    variables set to 0; None when inconsistent."""
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        sel = next((i for i in range(r, n) if a[i][c] % p != 0), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [(v * inv) % p for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] % p != 0:
-                f = a[i][c]
-                a[i] = [(a[i][j] - f * a[r][j]) % p for j in range(m + 1)]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][m] % p != 0:
-            return None
-    x = [0] * m
-    for i, c in enumerate(pivots):
-        x[c] = a[i][m] % p
-    return x
-
-
 def hm_artin_schreier_check(p: int, *, cap: int | None = None) -> bool:
-    """With a the least non-square of GF(p) and alpha a root of
-    x**p - x - a in GF(p**p): every alpha + c, c in GF(p), is a non-square.
-    The root is found by solving the Frobenius-minus-identity linear system
-    over GF(p)."""
+    """With a the least non-square of GF(p): every root of x**p - x - a in
+    GF(p**p) is a non-square. The roots are alpha + c, c in GF(p), for any
+    one root alpha, so there must be exactly p of them."""
     if p % 2 == 0:
         raise ValueError("p must be an odd prime")
     # make_field checks the cap before it tests p for primality, which can
@@ -336,20 +322,10 @@ def hm_artin_schreier_check(p: int, *, cap: int | None = None) -> bool:
     big = make_field(p, p, cap=cap)
     fp = make_field(p, 1, cap=cap)
     a = next(c for c in range(2, p) if not is_dth_power(FieldElement(fp, c), 2))
-    # Frobenius matrix: column i holds the coefficients of (x**i)**p
-    cols = [big.coeffs_of(big.pow_idx(big._pp[i], p)) for i in range(p)]
-    rows = [[(cols[j][i] - (1 if i == j else 0)) % p for j in range(p)] for i in range(p)]
-    sol = _solve_mod_p(rows, [a] + [0] * (p - 1), p)
-    if sol is None:
-        raise RuntimeError("Artin-Schreier system is inconsistent; field arithmetic is broken")
-    alpha_idx = big.index_of(sol)
-    # sanity: alpha**p - alpha really is the constant a
-    if big.sub_idx(big.pow_idx(alpha_idx, p), alpha_idx) != a:
-        raise RuntimeError("Artin-Schreier root check failed; field arithmetic is broken")
-    for c in range(p):
-        if is_dth_power(FieldElement(big, big.add_idx(alpha_idx, c)), 2):
-            return False
-    return True
+    roots = roots_in_extension(Polynomial(fp, (p - a, p - 1) + (0,) * (p - 2) + (1,)), big)
+    if len(roots) != p:
+        raise RuntimeError(f"x**p - x - a has {len(roots)} roots, not p; field arithmetic is broken")
+    return not any(is_dth_power(root, 2) for root, _ in roots)
 
 
 def mn_conjecture_search(
@@ -420,35 +396,7 @@ def primitive_set_search(
     if t < 1:
         raise ValueError("t must be >= 1")
     base, big = make_field_pair(q, n, cap=cap)
-    qn = big.Q
-    alpha_index = _choose_alpha(big, base, alpha_index)
-    alpha = FieldElement(big, alpha_index)
-    e = big.mult_order_idx(alpha_index)
-    spec = ConstructionSpec(base.p, base.k, n, None, t, None, alpha_index, e)
-    conditions = theorem_conditions_check(spec)
-    S = build_set(alpha, t, base)
-    members = sorted(b.idx for b in S)
-    qn1 = qn - 1
-    prim = [m for m in members if m != 0 and math.gcd(big.log_idx(m), qn1) == 1]
-    n_lower, tau_cond = primitive_lower_bound(q, n, t)
-    cert = prim[0] if prim else None
-    return ConstructionReport(
-        spec=spec,
-        conditions=conditions,
-        guaranteed=(e == qn1) and all(conditions[:3]) and tau_cond,
-        set_indices=tuple(members),
-        cardinality=len(members),
-        certificate=cert,
-        verified=cert is not None,
-        mode="primitive",
-        t_strict=t,
-        m_h=nt.m_of_h(q, n) if q >= 3 else 1,
-        big_field=big.to_json(),
-        base_field=base.to_json(),
-        n_actual=len(prim),
-        n_lower=n_lower,
-        tau_condition=tau_cond,
-    )
+    return _report(base, big, n, None, t, None, alpha_index, "primitive")
 
 
 def primitive_weil_audit(
@@ -466,12 +414,10 @@ def primitive_weil_audit(
         if dd == 1 or nt.moebius(dd) == 0:
             continue
         for chi in characters_of_order(big, dd):
-            res = incomplete_char_sum(chi, f, base, cap=cap)
-            if res.applicable is True:
-                if abs(res.value) > res.bound + 1e-6:
-                    return False
-            else:
-                unknown = True
+            ok = incomplete_char_sum(chi, f, base, cap=cap).ok
+            if ok is False:
+                return False
+            unknown = unknown or ok is None
     return None if unknown else True
 
 

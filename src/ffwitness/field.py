@@ -259,12 +259,6 @@ class FieldDescriptor:
             raise ValueError(f"index {idx} out of range for GF({self.Q})")
         return self._decode(idx)
 
-    def index_of(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.k:
-            raise ValueError("coefficient vector longer than the degree")
-        p = self.p
-        return sum((c % p) * self._pp[i] for i, c in enumerate(coeffs))
-
     # -- scalar ops in index space ------------------------------------------
 
     def add_idx(self, a: int, b: int) -> int:
@@ -352,15 +346,10 @@ class FieldDescriptor:
             return u ^ v
         return self.encode_vec((self.digits_vec(u) + self.digits_vec(v)) % self.p)
 
-    def neg_vec(self, v: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return v
-        return self.encode_vec((-self.digits_vec(v)) % self.p)
-
     def sub_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return u ^ v
-        return self.add_vec(u, self.neg_vec(v))
+        return self.encode_vec((self.digits_vec(u) - self.digits_vec(v)) % self.p)
 
     def log_vec(self, v: np.ndarray) -> np.ndarray:
         """Discrete logs; positions holding zero come back as -1."""
@@ -636,12 +625,12 @@ class _Embedding:
 
     The root is searched for among the p**m elements of the target's copy
     of GF(p**m) only. The image of every element is computed at once with
-    the vector kernels and kept with a preimage dict. A proper subfield has
+    the vector kernels and kept as a tuple. A proper subfield has
     at most sqrt(p**k) elements (2**11 under the default cap); one of 2**17
     would need a target of 2**34, whose tables cannot be built. A field's
     embedding into itself is _Identity, which holds no map."""
 
-    __slots__ = ("src", "target", "root_idx", "power_idx", "_image", "_preimage", "nbytes")
+    __slots__ = ("src", "target", "root_idx", "power_idx", "_image", "nbytes")
 
     def __init__(self, src: FieldDescriptor, target: FieldDescriptor):
         self.src = src
@@ -660,20 +649,11 @@ class _Embedding:
         acc = np.zeros(src.Q, dtype=np.int64)
         for i, power in enumerate(self.power_idx):
             acc = target.add_vec(acc, target.mul_vec(digits[:, i], np.int64(power)))
-        image = acc.tolist()
-        self._image = tuple(image)
-        self._preimage = {t: s for s, t in enumerate(image)}
-        # the image tuple and the preimage dict, whose ints they share
-        self.nbytes = sys.getsizeof(self._image) + sys.getsizeof(self._preimage)
+        self._image = tuple(acc.tolist())
+        self.nbytes = sys.getsizeof(self._image)
 
     def map_idx(self, a: int) -> int:
         return self._image[a]
-
-    def preimage_idx(self, t: int) -> int:
-        try:
-            return self._preimage[t]
-        except KeyError:
-            raise ValueError("element is not in the embedded subfield") from None
 
     def image_indices(self) -> tuple[int, ...]:
         return self._image
@@ -684,7 +664,7 @@ class _Identity(_Embedding):
     x to the least root of the modulus, and that root is x itself. For
     k >= 2 the modulus has no root in GF(p), and x (index p) is the least
     index outside GF(p); for k = 1 the modulus is x, whose only root is 0.
-    Every index maps to itself, so no image or preimage map is built."""
+    Every index maps to itself, so no image is built."""
 
     __slots__ = ()
 
@@ -696,9 +676,6 @@ class _Identity(_Embedding):
 
     def map_idx(self, a: int) -> int:
         return a
-
-    def preimage_idx(self, t: int) -> int:
-        return t
 
     def image_indices(self) -> range:
         return range(self.src.Q)
@@ -729,12 +706,6 @@ def get_embedding(src: FieldDescriptor, target: FieldDescriptor) -> _Embedding:
 
 # ---------------------------------------------------------------------------
 # named operations on elements
-
-
-def embed(a: FieldElement, target: FieldDescriptor) -> FieldElement:
-    """Image of a under the canonical embedding of its field into target."""
-    emb = get_embedding(a.field, target)
-    return FieldElement(target, emb.map_idx(a.idx))
 
 
 def mult_order(beta: FieldElement) -> int:

@@ -113,17 +113,6 @@ def moebius(n: int) -> int:
     return -1 if len(f.factors) % 2 else 1
 
 
-def padic_valuation(r: int, n: int) -> int:
-    """Largest e with r**e dividing n. Requires r >= 2, n >= 1."""
-    if r < 2 or n < 1:
-        raise ValueError("padic_valuation requires r >= 2 and n >= 1")
-    e = 0
-    while n % r == 0:
-        n //= r
-        e += 1
-    return e
-
-
 def largest_prime_power_part(n: int) -> tuple[int, int]:
     """The prime p maximizing p**v_p(n), returned as (p, v_p(n)).
 

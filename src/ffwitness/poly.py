@@ -1,6 +1,6 @@
 """Polynomials over a constructed field, plus the irreducibility machinery:
 the distinct-degree test, the binomial criterion, composition with x**t,
-value sets, squarefree degree, and root finding in extensions.
+squarefree degree, and root finding in extensions.
 
 Multiplication and division run in the log domain: each coefficient is
 held as its discrete log (-1 for zero), a product of two terms is a sum of
@@ -10,10 +10,10 @@ skip the range checks of the public constructor."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import nt
-from .field import CapExceeded, FieldDescriptor, FieldElement, embed, get_embedding, mult_order
+from .field import FieldDescriptor, FieldElement, get_embedding, mult_order
 
 
 # ---------------------------------------------------------------------------

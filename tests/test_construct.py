@@ -214,6 +214,64 @@ def test_hm_artin_schreier_smallest():
         hm_artin_schreier_check(2)
 
 
+def _linear_solve_artin_schreier_root(p):
+    """GF(p**p), a and a root alpha of x**p - x - a found without root
+    finding: one solution of the Frobenius-minus-identity system over
+    GF(p), by Gaussian elimination with free variables 0."""
+    big, fp = make_field(p, p), make_field(p, 1)
+    a = next(c for c in range(2, p) if not is_dth_power(fp.element(c), 2))
+    # column j: the coefficients of (x**j)**p - x**j; x**j has index p**j
+    cols = [big.coeffs_of(big.pow_idx(p**j, p)) for j in range(p)]
+    rows = [[(cols[j][i] - (i == j)) % p for j in range(p)] + [a if i == 0 else 0] for i in range(p)]
+    pivots = []
+    for c in range(p):
+        r = len(pivots)
+        sel = next((i for i in range(r, p) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(p):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    assert all(row[p] == 0 for row in rows[len(pivots):]), "inconsistent system"
+    sol = [0] * p
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][p]
+    return big, a, sum(c * p**i for i, c in enumerate(sol))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_hm_artin_schreier_matches_the_linear_solve(p, monkeypatch):
+    big, a, alpha = _linear_solve_artin_schreier_root(p)
+    assert big.sub_idx(big.pow_idx(alpha, p), alpha) == a
+    shifts = {big.add_idx(alpha, c) for c in range(p)}
+    found = []
+    roots_in_extension = construct.roots_in_extension
+
+    def recorded(f, ext):
+        roots = roots_in_extension(f, ext)
+        found.append({r.idx for r, _ in roots})
+        return roots
+
+    monkeypatch.setattr(construct, "roots_in_extension", recorded)
+    verdict = hm_artin_schreier_check(p)
+    assert found == [shifts]
+    assert verdict is all(not is_dth_power(big.element(s), 2) for s in shifts)
+
+
+def test_hm_artin_schreier_rejects_a_lost_root(monkeypatch):
+    # a root finder that misses one of the p roots is broken arithmetic,
+    # never a verdict on the roots it did find
+    roots_in_extension = construct.roots_in_extension
+    monkeypatch.setattr(construct, "roots_in_extension", lambda f, ext: roots_in_extension(f, ext)[1:])
+    with pytest.raises(RuntimeError, match="4 roots"):
+        hm_artin_schreier_check(5)
+
+
 def test_mn_search_smallest_witness():
     w = mn_conjecture_search(2, 2, 2)
     assert w is not None

@@ -24,7 +24,6 @@ from ffwitness.field import (
     CapExceeded,
     FieldElement,
     clear_field_cache,
-    embed,
     frobenius,
     get_embedding,
     is_dth_power,
@@ -388,7 +387,7 @@ def test_self_embedding_is_the_eager_identity(p, k):
     assert tuple(emb.image_indices()) == eager.image_indices() == tuple(range(fd.Q))
     assert (emb.root_idx, emb.power_idx) == (eager.root_idx, eager.power_idx)
     for a in range(fd.Q):
-        assert emb.map_idx(a) == eager.map_idx(a) and emb.preimage_idx(a) == eager.preimage_idx(a)
+        assert emb.map_idx(a) == eager.map_idx(a)
 
 
 def test_embedding_composes_through_tower():
@@ -398,16 +397,6 @@ def test_embedding_composes_through_tower():
     direct = get_embedding(f3, f81)
     for a in range(3):
         assert direct.map_idx(a) == hi.map_idx(lo.map_idx(a))
-
-
-def test_embed_and_preimage():
-    f3, f9 = make_field(3, 1), make_field(3, 2)
-    two = embed(f3.element(2), f9)
-    assert two.field is f9
-    emb = get_embedding(f3, f9)
-    assert emb.preimage_idx(two.idx) == 2
-    with pytest.raises(ValueError, match="not in the embedded subfield"):
-        emb.preimage_idx(f9.generator_index)
 
 
 def test_image_indices_count():

@@ -84,13 +84,6 @@ def naive_gcd(a, b):
     return a
 
 
-def test_padic_valuation():
-    assert nt.padic_valuation(2, 48) == 4
-    assert nt.padic_valuation(3, 48) == 1
-    assert nt.padic_valuation(5, 48) == 0
-    assert nt.padic_valuation(7, 343) == 3
-
-
 def test_largest_prime_power_part():
     assert nt.largest_prime_power_part(48) == (2, 4)
     assert nt.largest_prime_power_part(45) == (3, 2)
@@ -102,11 +95,12 @@ def naive_m_of_h(q, h):
     # largest r**min(v_r(q-1), e_max) over primes r | q-1, where e_max is
     # the largest e with (r**e * h)**2 <= q
     best = 1
-    for r in nt.factorize(q - 1).prime_divisors():
+    for r in (r for r in range(2, q) if (q - 1) % r == 0 and all(r % s for s in range(2, r))):
         e = 0
         while (r ** (e + 1) * h) ** 2 <= q:
             e += 1
-        e = min(e, nt.padic_valuation(r, q - 1))
+        while (q - 1) % r ** e:  # down to r**v_r(q-1) when that is smaller
+            e -= 1
         best = max(best, r**e)
     return best
 
