@@ -378,12 +378,18 @@ def weil_audit_instances(
 ) -> list[WeilAuditRow]:
     """Draw seeded random (chi, f) pairs over GF(q**m) until `count` of them
     have applicability True; every draw is kept and reported. Deterministic
-    for a fixed seed."""
+    for a fixed seed.
+
+    max_degree is at most q**m: on GF(q**m), and so on the base field inside
+    it, x**(q**m) = x, so a higher degree only repeats the values of a lower
+    one."""
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     base, B = make_field_pair(q, m, cap=cap)
     if B.Q == 2:
         raise ValueError(f"q**m = {q}**{m} = 2: GF(2) has no nontrivial character; need q**m >= 3")
+    if max_degree > B.Q:
+        raise ValueError(f"max_degree must be <= q**m = {B.Q}, got {max_degree}")
     rng = random.Random(seed)
     rows: list[WeilAuditRow] = []
     applicable = 0

@@ -21,18 +21,23 @@ Descriptors are immutable after construction, apart from that lazily built
 Zech table, whose build is idempotent, and the derived data the cache keeps
 on them (below).
 
+The exp and log tables are int32, as every index and log of a field is
+below 2**30; the vector kernels return int64 and widen before they
+multiply, so products such as log * e never wrap. A field's tables take
+TABLE_BYTES bytes per element.
+
 ``make_field`` keeps fields in one LRU cache keyed by (p, k), with the data
 derived from them (embeddings, character tables, root profiles; see
 ``cached``). An entry counts the bytes of its tables and derived data. The
-budget, 16 * (C + 2 * isqrt(C)) bytes for a cap C, holds one cap-sized field
-and all its proper subfields. Only a miss evicts, least recently used first
-(with all data naming the field) until the new field's 16 * Q bytes fit.
+budget, TABLE_BYTES * (C + 2 * isqrt(C)) bytes for a cap C, holds one
+cap-sized field and all its proper subfields with their embeddings into it.
+Only a miss evicts, least recently used first (with all data naming the
+field) until the new field's TABLE_BYTES * Q bytes fit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import OrderedDict
 from typing import Callable, Iterator, Sequence
 
@@ -44,6 +49,8 @@ DEFAULT_CAP = 1 << 22
 _LUT_CAP = 256
 _TABLE_BLOCK = 4096
 _SCATTER_BLOCK = 1 << 16
+_TABLE_DTYPE = np.int32  # exp, log and embedding images hold indices below 2**30
+TABLE_BYTES = 2 * np.dtype(_TABLE_DTYPE).itemsize  # exp and log, per field element
 
 
 class CapExceeded(Exception):
@@ -72,8 +79,9 @@ class FieldDescriptor:
 
     def __init__(self, p: int, k: int, cap: int):
         Q = p**k
-        if Q > cap:
-            raise CapExceeded(f"field size {p}**{k} = {Q} exceeds cap {cap}")
+        # up to 2**30 elements the sum of two logs (mul_vec) fits the tables' int32
+        if Q > min(cap, 1 << 30):
+            raise CapExceeded(f"field size {p}**{k} = {Q} exceeds cap {cap} or the int32 tables")
         self.p = p
         self.k = k
         self.Q = Q
@@ -133,11 +141,11 @@ class FieldDescriptor:
         indices, which holds exactly when the generator is primitive."""
         Q = self.Q
         exp = self._exp_by_doubling() if self.p == 2 else self._exp_by_matmul()
-        log = np.full(Q, -1, dtype=np.int64)
+        log = np.full(Q, -1, dtype=_TABLE_DTYPE)
         # scattered in blocks, so no Q-sized index array is ever allocated
         for i in range(0, Q - 1, _SCATTER_BLOCK):
             block = exp[i : i + _SCATTER_BLOCK]
-            log[block] = np.arange(i, i + len(block), dtype=np.int64)
+            log[block] = np.arange(i, i + len(block), dtype=_TABLE_DTYPE)
         # Q - 1 values that hit all Q - 1 nonzero indices are a bijection
         # onto them (and leave log[0] = -1)
         if exp[0] != 1 or log[1:].min() < 0:
@@ -192,7 +200,7 @@ class FieldDescriptor:
             block[n : n + m] = (block[:m] @ Mn.T) % p
             Mn = (Mn @ Mn) % p
             n += m
-        exp = np.empty(Qm1, dtype=np.int64)
+        exp = np.empty(Qm1, dtype=_TABLE_DTYPE)
         exp[:B] = block @ self._pp_np
         if Qm1 > B:
             # B = _TABLE_BLOCK is a power of two, so the doubling above
@@ -215,12 +223,12 @@ class FieldDescriptor:
         index makes each doubling step a few lookups and XORs per entry."""
         k, Qm1 = self.k, self.Q - 1
         mod_bits = sum(c << i for i, c in enumerate(self.modulus))
-        exp = np.empty(Qm1, dtype=np.int64)
+        exp = np.empty(Qm1, dtype=_TABLE_DTYPE)
         exp[0] = 1
-        n, gn = 1, np.array([self.generator_index], dtype=np.int64)  # [g**n]
+        n, gn = 1, np.array([self.generator_index], dtype=_TABLE_DTYPE)  # [g**n]
         while n < Qm1:
             # row b, entry v: g**n times the element with bits 8b..8b+7 = v
-            tables = np.zeros(((k + 7) // 8, 256), dtype=np.int64)
+            tables = np.zeros(((k + 7) // 8, 256), dtype=_TABLE_DTYPE)
             v = int(gn[0])
             for i in range(k):  # v = g**n * x**i
                 b, bit = divmod(i, 8)
@@ -353,7 +361,7 @@ class FieldDescriptor:
 
     def log_vec(self, v: np.ndarray) -> np.ndarray:
         """Discrete logs; positions holding zero come back as -1."""
-        return self._log[v]
+        return self._log[v].astype(np.int64)
 
     def mul_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u, v = np.broadcast_arrays(u, v)
@@ -369,7 +377,7 @@ class FieldDescriptor:
         zero_val = 1 if e == 0 else 0
         e %= self.Q - 1
         out = np.zeros(v.shape, dtype=np.int64)
-        out[mask] = self._exp[(self._log[v[mask]] * e) % (self.Q - 1)]
+        out[mask] = self._exp[(self._log[v[mask]].astype(np.int64) * e) % (self.Q - 1)]
         out[~mask] = zero_val
         return out
 
@@ -502,7 +510,7 @@ class FieldElement:
 # construction cache and the cross-field maps
 
 
-CACHE_BUDGET = 16 * (DEFAULT_CAP + 2 * math.isqrt(DEFAULT_CAP))
+CACHE_BUDGET = TABLE_BYTES * (DEFAULT_CAP + 2 * math.isqrt(DEFAULT_CAP))
 # (p, k) -> field, least recently used first; a cached field's _derived maps
 # key -> (derived value, keys of the fields it names)
 _CACHE: OrderedDict = OrderedDict()
@@ -582,8 +590,8 @@ def make_field(p: int, k: int, *, cap: int | None = None) -> FieldDescriptor:
         _STATS["hits"] += 1
         return _CACHE[key]
     _STATS["misses"] += 1
-    budget = CACHE_BUDGET if cap <= DEFAULT_CAP else max(CACHE_BUDGET, 16 * (cap + 2 * math.isqrt(cap)))
-    while _CACHE and _STATS["bytes"] + 16 * p**k > budget:
+    budget = CACHE_BUDGET if cap <= DEFAULT_CAP else max(CACHE_BUDGET, TABLE_BYTES * (cap + 2 * math.isqrt(cap)))
+    while _CACHE and _STATS["bytes"] + TABLE_BYTES * p**k > budget:
         _evict_lru()
     fd = FieldDescriptor(p, k, cap)
     _CACHE[key], fd._derived = fd, {}
@@ -625,10 +633,12 @@ class _Embedding:
 
     The root is searched for among the p**m elements of the target's copy
     of GF(p**m) only. The image of every element is computed at once with
-    the vector kernels and kept as a tuple. A proper subfield has
-    at most sqrt(p**k) elements (2**11 under the default cap); one of 2**17
-    would need a target of 2**34, whose tables cannot be built. A field's
-    embedding into itself is _Identity, which holds no map."""
+    the vector kernels and kept as an array in the table dtype, read through
+    a memoryview as the tables are, so its entries come out as Python ints.
+    A proper subfield has at most sqrt(p**k) elements (2**11 under the
+    default cap); one of 2**17 would need a target of 2**34, whose tables
+    cannot be built. A field's embedding into itself is _Identity, which
+    holds no map."""
 
     __slots__ = ("src", "target", "root_idx", "power_idx", "_image", "nbytes")
 
@@ -649,13 +659,15 @@ class _Embedding:
         acc = np.zeros(src.Q, dtype=np.int64)
         for i, power in enumerate(self.power_idx):
             acc = target.add_vec(acc, target.mul_vec(digits[:, i], np.int64(power)))
-        self._image = tuple(acc.tolist())
-        self.nbytes = sys.getsizeof(self._image)
+        image = acc.astype(_TABLE_DTYPE)
+        image.flags.writeable = False
+        self._image = memoryview(image)
+        self.nbytes = image.nbytes
 
     def map_idx(self, a: int) -> int:
         return self._image[a]
 
-    def image_indices(self) -> tuple[int, ...]:
+    def image_indices(self) -> memoryview:
         return self._image
 
 

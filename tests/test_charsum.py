@@ -364,6 +364,25 @@ def test_primitive_indicator():
     assert primitive_indicator(f7.element(2)) == pytest.approx(0.0, abs=TOL)
 
 
+def test_char_sum_with_a_large_index_matches_python_ints():
+    # on GF(251**2), Q - 1 = 63000, a 32-bit index * log wraps; recompute
+    # the sum term by term with Python ints
+    base, B = make_field(251, 1), make_field(251, 2)
+    n = B.Q - 1
+    chi = make_character(B, n - 1)
+    f = Polynomial(B, [40000, 0, 62000, 1])
+    emb = get_embedding(base, B)
+    want = 0j
+    for a in range(base.Q):
+        x, y = emb.map_idx(a), 0
+        for c in reversed(f.coeffs):
+            y = B.add_idx(B.mul_idx(y, x), c)
+        if y:
+            want += cmath.exp(2j * cmath.pi * ((chi.index * B.log_idx(y)) % n) / n)
+    got = incomplete_char_sum(chi, f, base)
+    assert abs(got.value - want) < 1e-7 and got.terms == base.Q
+
+
 # -- audit sampler ---------------------------------------------------------------
 
 def test_audit_rows_deterministic():

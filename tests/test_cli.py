@@ -307,10 +307,10 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base, field.cac
 
 
 def test_cap_window_survey_memory_is_bounded():
-    # GF(2039**2) and GF(2**22) each need 64 MiB of tables; the cache
+    # GF(2039**2) and GF(2**22) each need 32 MiB of int32 tables; the cache
     # evicts the first before it builds the second, so the growth stays
-    # well under the 128 MiB both would hold (a cache that never evicts
-    # grows about 130 MiB, this one about 67 MiB)
+    # well under the 64 MiB both would hold (a cache that never evicts
+    # grows about 66 MiB, this one about 35 MiB)
     src = str(Path(cli.__file__).resolve().parents[1])
     argv = ["survey", "--q-min", "2030", "--q-max", "2048", "--h", "2", "--d", "3", "--format", "csv"]
     env = {**os.environ, "PYTHONPATH": src}
@@ -318,7 +318,16 @@ def test_cap_window_survey_memory_is_bounded():
     code, grown_kib, evictions = map(int, out.stdout.split())
     assert code == cli.EXIT_OK
     assert evictions >= 1
-    assert grown_kib <= 96 * 1024, f"peak RSS grew {grown_kib} KiB after import"
+    assert grown_kib <= 48 * 1024, f"peak RSS grew {grown_kib} KiB after import"
+
+
+def test_audit_weil_huge_max_degree_exits_2_quickly():
+    # degrees above q**m repeat lower ones and are refused before any draw
+    start = time.perf_counter()
+    code, out, err = run(["audit-weil", "--q-list", "7", "--count", "5", "--max-degree", "100000000"])
+    assert time.perf_counter() - start < 2
+    assert code == cli.EXIT_BAD_INPUT and out == ""
+    assert err == "bad input: max_degree must be <= q**m = 49, got 100000000\n"
 
 
 def test_construct_forced_huge_prime_t_finishes_quickly():

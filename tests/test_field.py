@@ -10,6 +10,7 @@ sympy's gf_irreducible_p and primitive_root.
 
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,38 @@ def test_exp_doubling_matches_matmul(k):
     assert np.array_equal(fd._log, log)
 
 
+@pytest.mark.parametrize("p,k", [(2039, 2), (2, 22)])
+def test_kernels_widen_the_int32_tables(p, k):
+    # above 46,341 elements a 32-bit log * e wraps; the kernels widen
+    # before they multiply and agree with the Python-int scalar ops
+    clear_field_cache()
+    fd = make_field(p, k)
+    n = fd.Q - 1
+    rng = np.random.default_rng(0)
+    u = np.concatenate(([0, 1, n], rng.integers(0, fd.Q, 400)))
+    v = np.concatenate(([3, 0, n], rng.integers(0, fd.Q, 400)))
+    units = u[u != 0]
+    for e in (n - 1, n - 2, n // 2 + 1):  # n - 1 = Q - 2
+        assert fd.pow_vec(u, e).tolist() == [fd.pow_idx(a, e) for a in u.tolist()]
+    assert fd.pow_vec(units, 2 - n).tolist() == [fd.pow_idx(a, 2 - n) for a in units.tolist()]
+    assert fd.mul_vec(u, v).tolist() == [fd.mul_idx(a, b) for a, b in zip(u.tolist(), v.tolist())]
+    assert fd.log_vec(u).tolist() == [fd.log_idx(a) if a else -1 for a in u.tolist()]
+    kernels = [
+        fd.all_indices(), fd.add_vec(u, v), fd.sub_vec(u, v), fd.mul_vec(u, v),
+        fd.pow_vec(u, n - 1), fd.log_vec(u), fd.eval_poly_vec([5, n, 1], u),
+    ]
+    assert [a.dtype for a in kernels] == [np.int64] * len(kernels)
+    clear_field_cache()
+
+
+def test_int32_tables_refuse_a_field_above_2_30():
+    # a raised cap does not reach fields whose sum of two logs overflows
+    # int32; refused before any table is allocated
+    with pytest.raises(CapExceeded, match="int32 tables"):
+        make_field(2, 31, cap=1 << 40)
+    assert (2, 31) not in field._CACHE
+
+
 @pytest.mark.parametrize("p,k", [(3, 8), (2, 12)])
 def test_bijection_check_rejects_non_primitive_generator(p, k, monkeypatch):
     # (3, 8) takes the matmul path past one block, (2, 12) the doubling path
@@ -384,10 +417,31 @@ def test_self_embedding_is_the_eager_identity(p, k):
     # general construction builds
     fd = make_field(p, k)
     emb, eager = get_embedding(fd, fd), field._Embedding(fd, fd)
-    assert tuple(emb.image_indices()) == eager.image_indices() == tuple(range(fd.Q))
+    assert tuple(emb.image_indices()) == tuple(eager.image_indices()) == tuple(range(fd.Q))
     assert (emb.root_idx, emb.power_idx) == (eager.root_idx, eager.power_idx)
     for a in range(fd.Q):
         assert emb.map_idx(a) == eager.map_idx(a)
+
+
+def test_embedding_charge_covers_what_it_allocates():
+    # the image is an int32 array charged by its nbytes; only the fixed
+    # object headers (under 1 KiB) go uncharged, not a per-element cost
+    clear_field_cache()
+    src, dst = make_field(2039, 1), make_field(2039, 2)
+    field._Embedding(src, dst)  # a first build, so numpy's own setup is not traced
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emb = field._Embedding(src, dst)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained - 1024 <= emb.nbytes <= retained
+    # the memoryview hands out Python ints, never numpy scalars
+    assert all(type(a) is int for a in emb.image_indices()) and type(emb.map_idx(7)) is int
+    assert get_embedding(src, dst).nbytes == emb.nbytes
+    assert field.cache_info()["bytes"] == sum(map(field._nbytes, field._CACHE.values()))
+    clear_field_cache()
 
 
 def test_embedding_composes_through_tower():
@@ -518,7 +572,7 @@ def test_eviction_drops_the_data_naming_the_field(monkeypatch):
     assert field.cache_info()["bytes"] == f3.nbytes + f9.nbytes + emb.nbytes
     # room for GF(5) once one byte is freed: only the least recently used
     # GF(3) goes, with the embedding that GF(9)'s entry holds for it
-    monkeypatch.setattr(field, "CACHE_BUDGET", field.cache_info()["bytes"] + 16 * 5 - 1)
+    monkeypatch.setattr(field, "CACHE_BUDGET", field.cache_info()["bytes"] + field.TABLE_BYTES * 5 - 1)
     make_field(5, 1)
     info = field.cache_info()
     assert (info["evictions"], info["entries"]) == (1, 2)
@@ -555,6 +609,21 @@ def test_lazy_tables_are_charged_to_their_entry():
     assert field.cache_info() == {
         "hits": 0, "misses": 0, "evictions": 0, "bytes": 0, "budget": field.CACHE_BUDGET, "entries": 0,
     }
+
+
+@pytest.mark.parametrize("p,k", [(2, 22), (2039, 2)])
+def test_budget_holds_a_cap_sized_field_with_its_subfields(p, k):
+    # every proper subfield and its embedding into the field fit beside it
+    # (about 7.8 KB spare for GF(2**22)), so nothing is evicted
+    clear_field_cache()
+    subs = [make_field(p, m) for m in range(1, k) if k % m == 0]
+    big = make_field(p, k)
+    for sub in subs:
+        get_embedding(sub, big)
+    info = field.cache_info()
+    assert (info["evictions"], info["entries"]) == (0, len(subs) + 1)
+    assert info["bytes"] <= info["budget"]
+    clear_field_cache()
 
 
 def test_cap_sized_pair_is_built_once():
