@@ -10,9 +10,9 @@ exp/log tables, which every field builds at construction.
 
 The vector kernels (``*_vec``) index the numpy tables. The scalar ops
 (``*_idx``) read the same tables through memoryviews, which share their
-memory and return Python ints. Odd-p scalar addition (above the 256-element
-LUTs) and subtraction use Zech logarithms, Z[j] = log(1 + g**j)
-(Lidl-Niederreiter, Finite Fields, ch. 10): g**a + g**b = g**(a + Z[b - a]).
+memory and return Python ints. Odd-p scalar addition uses Zech logarithms,
+Z[j] = log(1 + g**j) (Lidl-Niederreiter, Finite Fields, ch. 10):
+g**a + g**b = g**(a + Z[b - a]); subtraction adds the negation.
 The Zech table is built from the exp table the first time a scalar addition
 or a polynomial product or division (see ``poly``) needs it, so fields that
 only run vector kernels never hold one.
@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import nt
 
 DEFAULT_CAP = 1 << 22
-_LUT_CAP = 256
 _TABLE_BLOCK = 4096
 _SCATTER_BLOCK = 1 << 16
 _TABLE_DTYPE = np.int32  # exp, log and embedding images hold indices below 2**30
@@ -73,8 +72,7 @@ class FieldDescriptor:
 
     __slots__ = (
         "p", "k", "Q", "modulus", "generator_index", "_key",
-        "_exp", "_log", "_expv", "_logv", "_zech", "_pp", "_pp_np",
-        "_add_lut", "_mul_lut", "_derived",
+        "_exp", "_log", "_expv", "_logv", "_zech", "_pp", "_pp_np", "_derived",
     )
 
     def __init__(self, p: int, k: int, cap: int):
@@ -94,13 +92,9 @@ class FieldDescriptor:
         self._expv = None
         self._logv = None
         self._zech = None
-        self._add_lut = None
-        self._mul_lut = None
         self._derived = None  # the cache's derived data while the field is cached
         self.generator_index = self._find_generator()
         self._build_tables()
-        if Q <= _LUT_CAP:
-            self._build_luts()
 
     # -- construction ------------------------------------------------------
 
@@ -244,13 +238,6 @@ class FieldDescriptor:
             n += m
         return exp
 
-    def _build_luts(self) -> None:
-        # nested lists: scalar add_idx/mul_idx index them faster than numpy
-        idx = self.all_indices()
-        rows, cols = idx[:, None], idx[None, :]
-        self._add_lut = self.add_vec(rows, cols).tolist()
-        self._mul_lut = self.mul_vec(rows, cols).tolist()
-
     # -- index codec -------------------------------------------------------
 
     def _decode(self, idx: int) -> tuple[int, ...]:
@@ -270,8 +257,6 @@ class FieldDescriptor:
     # -- scalar ops in index space ------------------------------------------
 
     def add_idx(self, a: int, b: int) -> int:
-        if self._add_lut is not None:
-            return self._add_lut[a][b]
         if self.p == 2:
             return a ^ b
         if not (a and b):
@@ -291,23 +276,9 @@ class FieldDescriptor:
         return self._expv[(self._logv[a] + n // 2) % n]
 
     def sub_idx(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if not b:
-            return a
-        n = self.Q - 1
-        neg_lb = self._logv[b] + n // 2  # a log of -b
-        if not a:
-            return self._expv[neg_lb % n]
-        # a - b = a + (-b), as in add_idx
-        zech = self._zech if self._zech is not None else self.zech_table()
-        la = self._logv[a]
-        z = zech[(neg_lb - la) % n]
-        return self._expv[(la + z) % n] if z >= 0 else 0
+        return self.add_idx(a, self.neg_idx(b))
 
     def mul_idx(self, a: int, b: int) -> int:
-        if self._mul_lut is not None:
-            return self._mul_lut[a][b]
         if a == 0 or b == 0:
             return 0
         return self._expv[(self._logv[a] + self._logv[b]) % (self.Q - 1)]
@@ -395,9 +366,8 @@ class FieldDescriptor:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of exp, log, the LUTs (8-byte list slots) and Zech, if built."""
-        luts = 16 * self.Q * self.Q if self._add_lut is not None else 0
-        return self._exp.nbytes + self._log.nbytes + luts + (self._zech.nbytes if self._zech is not None else 0)
+        """Bytes of exp and log (TABLE_BYTES per element) and of Zech, if built."""
+        return self._exp.nbytes + self._log.nbytes + (self._zech.nbytes if self._zech is not None else 0)
 
     def __reduce__(self):
         # memoryviews do not pickle; the construction is deterministic, so a
@@ -410,14 +380,6 @@ class FieldDescriptor:
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
 
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def generator(self) -> "FieldElement":
-        return FieldElement(self, self.generator_index)
-
     def element(self, x: "int | FieldElement") -> "FieldElement":
         if isinstance(x, FieldElement):
             if x.field._key != self._key:
@@ -426,10 +388,6 @@ class FieldDescriptor:
         if not 0 <= x < self.Q:
             raise ValueError(f"index {x} out of range for GF({self.Q})")
         return FieldElement(self, x)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for idx in range(self.Q):
-            yield FieldElement(self, idx)
 
     def to_json(self) -> dict:
         return {
@@ -487,9 +445,6 @@ class FieldElement:
 
     def __pow__(self, e: int):
         return FieldElement(self.field, self.field.pow_idx(self.idx, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_idx(self.idx))
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):

@@ -154,10 +154,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def coefficients(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, c) for c in self.coeffs)
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 

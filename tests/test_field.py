@@ -175,8 +175,8 @@ def test_add_matches_naive_exhaustive(p, k):
 
 @pytest.mark.parametrize("p,k", [(3, 9), (101, 2), (11, 4), (5, 4), (3, 2), (7, 1)])
 def test_scalar_add_sub_neg_match_digit_oracle(p, k):
-    # Zech addition runs on fields above the LUT cap; the small ones check
-    # sub_idx and neg_idx, which never use the LUT
+    # every odd-p field adds and subtracts through its Zech table, the
+    # small ones included
     fd = make_field(p, k)
     rng = random.Random(p * 100 + k)
     pairs = [(0, 0), (fd.Q - 1, fd.Q - 1), (0, fd.Q - 1), (fd.Q - 1, 1)]
@@ -300,16 +300,30 @@ def test_bijection_check_rejects_non_primitive_generator(p, k, monkeypatch):
 
 
 @pytest.mark.parametrize("p,k", [(2, 8), (3, 5), (251, 1), (2, 3), (7, 2)])
-def test_luts_match_scalar(p, k):
+def test_scalar_ops_match_naive_exhaustive(p, k):
+    # every pair of elements, on fields of up to 256 elements
     fd = make_field(p, k)
     Q = fd.Q
+    digits, mod = [idx_to_poly(a, p, k) for a in range(Q)], list(fd.modulus)
 
     def digit_sum(a, b):
-        return poly_to_idx([x + y for x, y in zip(idx_to_poly(a, p, k), idx_to_poly(b, p, k))], p)
+        return poly_to_idx([x + y for x, y in zip(digits[a], digits[b])], p)
 
-    assert fd._add_lut == [[digit_sum(a, b) for b in range(Q)] for a in range(Q)]
-    digits, mod = [idx_to_poly(a, p, k) for a in range(Q)], list(fd.modulus)
-    assert fd._mul_lut == [[poly_to_idx(naive_mul(x, y, p, mod), p) for y in digits] for x in digits]
+    for a in range(Q):
+        for b in range(Q):
+            assert fd.add_idx(a, b) == digit_sum(a, b)
+            # a - b is the one x with x + b = a
+            assert digit_sum(fd.sub_idx(a, b), b) == a
+            assert fd.mul_idx(a, b) == poly_to_idx(naive_mul(digits[a], digits[b], p, mod), p)
+
+
+def test_a_small_field_is_charged_only_its_tables():
+    clear_field_cache()
+    fd = make_field(2, 8)
+    # exp holds Q - 1 entries and log Q, half of TABLE_BYTES each
+    assert fd.nbytes == field.TABLE_BYTES * 256 - field.TABLE_BYTES // 2
+    assert field.cache_info()["bytes"] == sum(map(field._nbytes, field._CACHE.values()))
+    clear_field_cache()
 
 
 def test_cap_enforced():
@@ -491,7 +505,7 @@ def test_field_cache_identity():
     assert c is not a and c.modulus == a.modulus
 
 
-# (p, k): p = 2 and odd p on both sides of the 256-element LUT cap
+# (p, k): p = 2 and odd p, prime fields and extensions, 8 to 3**9 elements
 ORACLE_FIELDS = [(2, 3), (2, 8), (2, 12), (7, 2), (3, 5), (257, 1), (101, 2), (3, 9)]
 
 

@@ -1,6 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses.
-
-``__init__`` is left out, as its imports are the package's exports."""
+"""Source hygiene: no module of the package imports a name it never uses
+(``__init__`` is left out, as its imports are the package's exports), and
+no private function, method or class is defined but never reached."""
 
 import ast
 from pathlib import Path
@@ -54,3 +54,43 @@ def test_an_unused_import_is_found():
         "    np.abs(os.path.sep)\n"
     )
     assert unused_imports(source) == ["Sequence (line 3)", "sys (line 2)"]
+
+
+def orphaned_private_definitions(sources: list[str]) -> list[str]:
+    """Non-dunder ``_name`` functions, methods and classes defined in the
+    sources that no ``Name`` or ``Attribute`` in any of them reads."""
+    defined, read = {}, set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined.setdefault(name, node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name} (line {line})" for name, line in sorted(defined.items()) if name not in read]
+
+
+def test_no_orphaned_private_definitions():
+    sources = [p.read_text(encoding="utf-8") for p in Path(ffwitness.__file__).parent.glob("*.py")]
+    assert orphaned_private_definitions(sources) == []
+
+
+def test_an_orphaned_private_definition_is_found():
+    sources = [
+        "class _Used:\n"
+        "    def __init__(self):\n"
+        "        self._called()\n"
+        "    def _called(self):\n"
+        "        pass\n"
+        "    def _never(self):\n"
+        "        pass\n"
+        "def _orphan():\n"
+        "    return _Used\n",
+        "from m import _Used\n"
+        "def public():\n"
+        "    return _Used()\n",
+    ]
+    assert orphaned_private_definitions(sources) == ["_never (line 6)", "_orphan (line 8)"]

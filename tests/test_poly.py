@@ -428,8 +428,8 @@ def test_roots_in_extension_matches_sympy_over_prime_fields(p, data):
 )
 def test_is_irreducible_matches_sympy_over_prime_fields(p, data):
     # about a third of the random inputs are irreducible; a product of two
-    # adds reducible inputs that may have no root, like two quadratics. On
-    # GF(257), above the LUT cap, every step runs through the Zech table
+    # adds reducible inputs that may have no root, like two quadratics. Over
+    # odd p every step runs through the Zech table
     fd = make_field(p, 1)
 
     def draw_poly(max_degree):
