@@ -17,7 +17,6 @@ from .poly import (
     composed_irreducible_check,
     is_irreducible,
     roots_in_extension,
-    squarefree_part_degree,
 )
 from .charsum import (
     Character,
@@ -26,7 +25,6 @@ from .charsum import (
     incomplete_char_sum,
     is_r_free,
     make_character,
-    primitive_indicator,
     r_free_indicator_sum,
     weil_applicability,
 )

@@ -1,11 +1,13 @@
 """Multiplicative characters of GF(Q)*, incomplete character sums taken over
 an embedded subfield, the square-root cancellation bound with an honest
-applicability test, and the r-free / primitive indicator sums.
+applicability test, and the r-free indicator sums (primitive is r = Q - 1).
 
 The applicability test follows the norm criterion: the bound covers the sum
 of chi over f(subfield) when for some root zeta of f, with multiplicity t,
 chi**t is nontrivial on the norm image (down to GF(Q)) of GF(q)(zeta)*. The
-roots are grouped by distinct-degree factorization; a group of degree i is
+roots are grouped by the distinct-degree factorization of the squarefree
+part of f, the one poly.is_irreducible runs. Level i, whose roots have
+degree exactly i over GF(Q) (level 1 holds those in GF(Q) itself), is
 resolved exactly, by finding its roots in GF(Q**i), when that field fits the
 cap. Beyond the cap only a simple-root shortcut can certify, and anything
 else is reported as unknown rather than guessed.
@@ -32,11 +34,12 @@ from .field import (
 )
 from .poly import (
     Polynomial,
+    distinct_degree_factors,
+    lift,
     multiplicity,
     poly_powmod,
     roots_in_extension,
     squarefree_part,
-    squarefree_part_degree,
 )
 
 
@@ -163,102 +166,54 @@ def _norm_image_order(ext: FieldDescriptor, down_Q: int, q: int, j: int) -> int:
     return n // math.gcd(stride * norm_exp, n)
 
 
-def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple, bool]:
+def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple, bool, int]:
     """Classify the roots of f (over its coefficient field B) by multiplicity
-    and by the order of the norm image of GF(q)(zeta)* in B*.
+    and by the order of the norm image of GF(q)(zeta)* in B*, one
+    distinct-degree level of the squarefree part of f at a time.
 
-    Returns (classes, shortcut_used) where classes is a tuple of
-    (multiplicity, image_order_or_None); None means the class could not be
-    resolved within the cap.
+    Returns (classes, shortcut_used, D) where classes is a tuple of
+    (multiplicity, image_order_or_None), None meaning the class could not be
+    resolved within the cap, and D is the degree of the squarefree part.
     """
     B = f.field
     q = base.Q
     m = B.k // base.k
     fm = f.monic()
+    sf = squarefree_part(fm)
     classes: list[tuple[int | None, int | None]] = []
     shortcut_used = False
-
-    work = fm
-    for zeta, mult in roots_in_extension(fm, B):
-        j = _frobenius_degree(B, zeta.idx, q, m)
-        # B[zeta] = B here, so the norm is the identity and the image is
-        # GF(q**j)* itself
-        classes.append((mult, q**j - 1))
-        lin = Polynomial(B, (B.neg_idx(zeta.idx), 1))
-        for _ in range(mult):
-            work = work // lin
-
-    if work.degree() > 0:
-        # distinct-degree factorization of what has no root in B, from
-        # degree 2: comp of degree i is gcd(rem, x**(Q**i) - x)
-        sf = squarefree_part(work)
-        x = Polynomial.x(B)
-        h, h_level = x, 0  # h = x**(Q**h_level) mod sf, advanced only when needed
-        rem = sf
-        i = 1
-        while rem.degree() > 0:
-            i += 1
-            if 2 * i > rem.degree():
-                # every factor left has degree >= i, so rem is irreducible
-                comp, i = rem, rem.degree()
-                rem = Polynomial(B, (1,))
+    for i, comp in distinct_degree_factors(sf):
+        if B.Q**i <= cap:
+            # every root of comp has degree exactly i over B, so GF(Q**i)
+            # holds them all
+            ext = make_field(B.p, B.k * i, cap=cap)
+            g = lift(fm, ext)
+            for zeta, _ in roots_in_extension(comp, ext):
+                mult = multiplicity(g, Polynomial(ext, (ext.neg_idx(zeta.idx), 1)))
+                j = _frobenius_degree(ext, zeta.idx, q, m * i)
+                classes.append((mult, _norm_image_order(ext, B.Q, q, j)))
+        elif comp.degree() == i:
+            # a single irreducible factor; the shortcut needs a simple root
+            # whose field GF(q)(zeta) is all of B[zeta]
+            mult = multiplicity(fm, comp)
+            x = Polynomial.x(B)
+            cur = x
+            j = None
+            for s in range(1, m * i + 1):
+                cur = poly_powmod(cur, q, comp)
+                if cur == x:
+                    j = s
+                    break
+            if mult == 1 and j == m * i:
+                # norm of B[zeta]* onto B* is surjective, so the image is all of B*
+                classes.append((1, B.Q - 1))
+                shortcut_used = True
             else:
-                h = poly_powmod(h, B.Q ** (i - h_level), sf)
-                h_level = i
-                comp = rem.gcd(h - x)
-                if comp.degree() == 0:
-                    continue
-                rem = rem // comp
-            shortcut_used |= _process_component(fm, comp, i, B, base, cap, classes)
-
-    return tuple(classes), shortcut_used
-
-
-def _process_component(
-    fm: Polynomial,
-    comp: Polynomial,
-    i: int,
-    B: FieldDescriptor,
-    base: FieldDescriptor,
-    cap: int,
-    classes: list,
-) -> bool:
-    """Handle the product comp of irreducible factors of degree exactly i,
-    appending its root classes; returns whether the simple-root shortcut
-    certified one of them."""
-    q = base.Q
-    m = B.k // base.k
-    p = B.p
-    if B.Q**i <= cap:
-        ext = make_field(p, B.k * i, cap=cap)
-        for zeta, mult in roots_in_extension(fm, ext):
-            if _frobenius_degree(ext, zeta.idx, B.Q, i) != i:
-                continue  # lives in a smaller level, classified there
-            j = _frobenius_degree(ext, zeta.idx, q, m * i)
-            classes.append((mult, _norm_image_order(ext, B.Q, q, j)))
-        return False
-    if comp.degree() == i:
-        # a single irreducible factor; the shortcut needs a simple root whose
-        # field GF(q)(zeta) is all of B[zeta]
-        phi_poly = comp.monic()
-        mult = multiplicity(fm, phi_poly)
-        x = Polynomial.x(B)
-        cur = x
-        j = None
-        for s in range(1, m * i + 1):
-            cur = poly_powmod(cur, q, phi_poly)
-            if cur == x:
-                j = s
-                break
-        if mult == 1 and j == m * i:
-            # norm of B[zeta]* onto B* is surjective, so the image is all of B*
-            classes.append((1, B.Q - 1))
-            return True
-        classes.append((mult, None))
-    else:
-        # several inseparable-to-us factors of degree i beyond the cap
-        classes.append((None, None))
-    return False
+                classes.append((mult, None))
+        else:
+            # several factors of degree i beyond the cap, not told apart
+            classes.append((None, None))
+    return tuple(classes), shortcut_used, sf.degree()
 
 
 def weil_applicability(
@@ -271,12 +226,11 @@ def weil_applicability(
     cap_eff = cap if cap is not None else DEFAULT_CAP
     if f.degree() < 1:
         return WeilApplicability(False, m, 0, None, False, 0)
-    D = squarefree_part_degree(f)
+    key = ("profile", f.coeffs, base._key, cap_eff)
+    classes, shortcut_used, D = cached((f.field, base), key, lambda: _root_profile(f, base, cap_eff))
     bound = (m * D - 1) * math.sqrt(base.Q)
     if chi.is_trivial:
         return WeilApplicability(False, m, D, bound, False, 0)
-    key = ("profile", f.coeffs, base._key, cap_eff)
-    classes, shortcut_used = cached((f.field, base), key, lambda: _root_profile(f, base, cap_eff))
     undecided = 0
     decided_true = False
     for mult, image_order in classes:
@@ -309,7 +263,7 @@ def incomplete_char_sum(
 
 
 # ---------------------------------------------------------------------------
-# r-free and primitive indicators
+# r-free indicators
 
 
 def _check_unit(alpha: FieldElement) -> FieldDescriptor:
@@ -346,14 +300,6 @@ def r_free_indicator_sum(alpha: FieldElement, r: int) -> complex:
             inner += chi(alpha)
         total += (mu / nt.phi(d)) * inner
     return total
-
-
-def primitive_indicator(alpha: FieldElement) -> float:
-    """phi(Q-1)/(Q-1) times the full Moebius-weighted sum over d | Q-1;
-    equals 1 exactly when alpha is primitive, else 0."""
-    n = alpha.field.Q - 1
-    # primitive means (Q-1)-free, so this is the r-free sum at r = Q - 1
-    return (nt.phi(n) / n) * r_free_indicator_sum(alpha, n).real
 
 
 # ---------------------------------------------------------------------------

@@ -212,16 +212,19 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument(
+    # each subcommand takes only the options it reads: --out everywhere,
+    # --cap-field where a field is built, --format where rows are printed
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument(
         "--cap-field",
         type=int,
         default=DEFAULT_CAP,
         help=f"largest constructible field (default {DEFAULT_CAP}); FFWITNESS_CAP overrides",
     )
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for sampled audits")
+    rows = argparse.ArgumentParser(add_help=False)
+    rows.add_argument("--format", choices=("json", "csv"), default="json")
 
     ap = argparse.ArgumentParser(
         prog="ffwitness",
@@ -229,59 +232,59 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", parents=[common], help="build one set and certify a non-d-th power")
+    def command(name, fn, help, *, cap=True, fmt=False):
+        parents = [out] + [capped] * cap + [rows] * fmt
+        cmd = sub.add_parser(name, parents=parents, help=help)
+        cmd.set_defaults(fn=fn)
+        return cmd
+
+    c = command("construct", _cmd_construct, "build one set and certify a non-d-th power")
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--h", type=int, required=True)
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--t", type=int, default=None, help="force t instead of deriving it")
     c.add_argument("--alpha", type=int, default=None, help="alpha index (default: minimal primitive)")
-    c.set_defaults(fn=_cmd_construct)
 
-    s = sub.add_parser("survey", parents=[common], help="one pipeline row per prime power in a range")
+    s = command("survey", _cmd_survey, "one pipeline row per prime power in a range", fmt=True)
     s.add_argument("--q-min", type=int, required=True)
     s.add_argument("--q-max", type=int, required=True)
     s.add_argument("--h", type=int, default=2)
     s.add_argument("--d", type=int, default=2)
-    s.set_defaults(fn=_cmd_survey)
 
-    w = sub.add_parser("audit-weil", parents=[common], help="seeded random character-sum bound audit")
+    w = command("audit-weil", _cmd_audit_weil, "seeded random character-sum bound audit", fmt=True)
     w.add_argument("--q-list", required=True, help="comma-separated base prime powers")
     w.add_argument("--m", type=int, default=2)
     w.add_argument("--count", type=int, default=200, help="applicable instances per q")
     w.add_argument("--max-degree", type=int, default=3)
-    w.set_defaults(fn=_cmd_audit_weil)
+    w.add_argument("--seed", type=int, default=0, help="RNG seed for the sampled instances")
 
-    b = sub.add_parser("audit-bounds", parents=[common], help="M(h) < sqrt(q) audit and log2 claim tabulation")
+    b = command(
+        "audit-bounds", _cmd_audit_bounds, "M(h) < sqrt(q) audit and log2 claim tabulation", cap=False, fmt=True
+    )
     b.add_argument("--q-max", type=int, default=10000)
     b.add_argument("--h", type=int, default=2)
-    b.set_defaults(fn=_cmd_audit_bounds)
 
-    pr = sub.add_parser("primitive", parents=[common], help="primitive elements in a constructed set")
+    pr = command("primitive", _cmd_primitive, "primitive elements in a constructed set")
     pr.add_argument("--q", type=int, required=True)
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--t", type=int, default=1)
     pr.add_argument("--alpha", type=int, default=None)
-    pr.set_defaults(fn=_cmd_primitive)
 
-    mn = sub.add_parser("mn-search", parents=[common], help="search a constrained irreducible witness")
+    mn = command("mn-search", _cmd_mn_search, "search a constrained irreducible witness")
     mn.add_argument("--q", type=int, required=True)
     mn.add_argument("--kk", type=int, required=True)
     mn.add_argument("--l", type=int, required=True)
-    mn.set_defaults(fn=_cmd_mn_search)
 
-    ck = sub.add_parser("ck-check", parents=[common], help="square/non-square coset check over a range")
+    ck = command("ck-check", _cmd_ck_check, "square/non-square coset check over a range", fmt=True)
     ck.add_argument("--q-min", type=int, default=7)
     ck.add_argument("--q-max", type=int, default=49)
-    ck.set_defaults(fn=_cmd_ck_check)
 
-    hm = sub.add_parser("hm-check", parents=[common], help="Artin-Schreier non-square coset check")
+    hm = command("hm-check", _cmd_hm_check, "Artin-Schreier non-square coset check", fmt=True)
     hm.add_argument("--p-list", default="3,5,7", help="comma-separated odd primes")
-    hm.set_defaults(fn=_cmd_hm_check)
 
-    v = sub.add_parser("verify", parents=[common], help="rerun the pipeline behind a saved report and compare")
+    v = command("verify", _cmd_verify, "rerun the pipeline behind a saved report and compare")
     v.add_argument("report", help="path to a report JSON file")
-    v.set_defaults(fn=_cmd_verify)
 
     return ap
 

@@ -1,6 +1,7 @@
 """Polynomials over a constructed field, plus the irreducibility machinery:
-the distinct-degree test, the binomial criterion, composition with x**t,
-squarefree degree, and root finding in extensions.
+distinct-degree factorization and the irreducibility test built on it, the
+binomial criterion, composition with x**t, squarefree parts, and root
+finding in extensions.
 
 Multiplication and division run in the log domain: each coefficient is
 held as its discrete log (-1 for zero), a product of two terms is a sum of
@@ -10,7 +11,7 @@ skip the range checks of the public constructor."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import nt
 from .field import FieldDescriptor, FieldElement, get_embedding, mult_order
@@ -154,9 +155,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def monic(self) -> "Polynomial":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
@@ -298,28 +296,41 @@ def poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     return Polynomial._from_logs(fd, result)
 
 
-def is_irreducible(f: Polynomial) -> bool:
-    """Distinct-degree irreducibility test.
+def distinct_degree_factors(f: Polynomial) -> Iterator[tuple[int, Polynomial]]:
+    """Distinct-degree factorization of a monic squarefree f (Lidl-
+    Niederreiter, Finite Fields, ch. 4): yields (i, product of the
+    irreducible factors of f of degree i) for each i that has one, in
+    ascending order.
 
-    f of degree n is irreducible iff it shares no factor with x**(Q**i) - x
-    for i = 1 .. n//2: any proper factorization contains an irreducible
-    factor of degree at most n//2, and those are exactly the divisors of the
-    x**(Q**i) - x chain. Requires degree >= 1.
-    """
+    The level-i component is gcd(rest, x**(Q**i) - x), with rest what the
+    lower levels left of f. Once 2i exceeds deg rest, every factor left has
+    degree above half of it, so rest is one irreducible. Each component is
+    yielded before rest is divided by it, so a caller that stops at the
+    first yield pays for no division. That first i is the least degree of an
+    irreducible factor for any monic f, squarefree or not."""
+    fd = f.field
+    x = Polynomial.x(fd)
+    h, rest, i = x, f, 0  # h = x**(Q**i) mod rest
+    while rest.degree() > 0:
+        i += 1
+        if 2 * i > rest.degree():
+            yield rest.degree(), rest
+            return
+        h = poly_powmod(h, fd.Q, rest)
+        comp = rest.gcd(h - x)
+        if comp.degree() > 0:
+            yield i, comp
+            rest = rest // comp
+
+
+def is_irreducible(f: Polynomial) -> bool:
+    """Distinct-degree irreducibility test: f of degree n is irreducible
+    iff its lowest distinct-degree level is n. The scan stops at the first
+    level found, after at most n//2 steps. Requires degree >= 1."""
     n = f.degree()
     if n < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
-    if n == 1:
-        return True
-    fm = f.monic()
-    fd = f.field
-    x = Polynomial.x(fd)
-    h = x
-    for _ in range(n // 2):
-        h = poly_powmod(h, fd.Q, fm)
-        if fm.gcd(h - x).degree() > 0:
-            return False
-    return True
+    return next(distinct_degree_factors(f.monic()))[0] == n
 
 
 def binomial_irreducible_check(t: int, a: FieldElement) -> tuple[bool, tuple[bool, bool, bool]]:
@@ -409,11 +420,6 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     return w * squarefree_part(pth_root_poly(rest))
 
 
-def squarefree_part_degree(f: Polynomial) -> int:
-    """Degree of the largest squarefree divisor of f."""
-    return squarefree_part(f).degree()
-
-
 def multiplicity(f: Polynomial, factor: Polynomial) -> int:
     """The largest n with factor**n dividing f, by repeated division."""
     mult = 0
@@ -462,21 +468,26 @@ def _split_linear(L: Polynomial, start: int = 0) -> list[int]:
     raise RuntimeError("no splitting element found")  # unreachable for distinct roots
 
 
+def lift(f: Polynomial, ext: FieldDescriptor) -> Polynomial:
+    """f with its coefficients mapped into ext, which its field must embed in."""
+    emb = get_embedding(f.field, ext)
+    return Polynomial(ext, [emb.map_idx(c) for c in f.coeffs])
+
+
 def roots_in_extension(f: Polynomial, ext: FieldDescriptor) -> list[tuple[FieldElement, int]]:
     """Roots of f in the extension field with multiplicities, sorted by
     element index. The coefficient field must embed in ext.
 
     The distinct roots are those of L = gcd(g, x**Q - x) for g the monic
     lift of f to ext, found by splitting L; the cost is polynomial in
-    deg f and log Q, with no pass over the field."""
+    deg f and log Q, with no pass over the field. A linear g is its own L."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    emb = get_embedding(f.field, ext)
-    g = Polynomial(ext, [emb.map_idx(c) for c in f.coeffs]).monic()
+    g = lift(f, ext).monic()
     if g.degree() < 1:
         return []
     x = Polynomial.x(ext)
-    L = g.gcd(poly_powmod(x, ext.Q, g) - x)
+    L = g if g.degree() == 1 else g.gcd(poly_powmod(x, ext.Q, g) - x)
     return [
         (FieldElement(ext, r), multiplicity(g, Polynomial(ext, (ext.neg_idx(r), 1))))
         for r in sorted(_split_linear(L))

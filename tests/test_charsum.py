@@ -20,13 +20,12 @@ from ffwitness.charsum import (
     incomplete_char_sum,
     is_r_free,
     make_character,
-    primitive_indicator,
     r_free_indicator_sum,
     weil_applicability,
     weil_audit_instances,
 )
 from ffwitness.field import DEFAULT_CAP, get_embedding, is_dth_power, make_field
-from ffwitness.poly import Polynomial, is_irreducible
+from ffwitness.poly import Polynomial, is_irreducible, squarefree_part
 
 TOL = 1e-9
 
@@ -145,6 +144,8 @@ def test_weil_trivial_character_inapplicable():
     f = Polynomial(f7, (1, 0, 1))
     app = weil_applicability(make_character(f7, 0), f, f7)
     assert app.applicable is False
+    # x**2 + 1 is irreducible over GF(7), so D = 2 and the bound is sqrt(7)
+    assert app.D == 2 and app.bound == pytest.approx(7**0.5, abs=TOL)
 
 
 def test_weil_constant_f_inapplicable():
@@ -235,8 +236,8 @@ def test_root_profile_two_irreducible_quadratics_over_f9():
     # in GF(81), whose four roots generate GF(81) over GF(3)
     f3, f9 = make_field(3, 1), make_field(3, 2)
     f = Polynomial(f9, (1, 0, 6, 0, 1))
-    classes, shortcut = charsum._root_profile(f, f3, DEFAULT_CAP)
-    assert sorted(classes) == [(1, 8)] * 4 and shortcut is False
+    classes, shortcut, D = charsum._root_profile(f, f3, DEFAULT_CAP)
+    assert sorted(classes) == [(1, 8)] * 4 and shortcut is False and D == 4
     assert sorted(classes) == profile_by_enumeration(f, f3)
     for j in range(1, 8):
         assert weil_applicability(make_character(f9, j), f, f3).applicable is True
@@ -268,9 +269,10 @@ def test_root_profile_matches_enumeration_degrees_4_to_6(p, k, m, max_deg):
                 f = f * Polynomial(B, [rng.randrange(B.Q) for _ in range(d)] + [1])
         polys.append(f)
     for f in polys:
-        classes, shortcut = charsum._root_profile(f, base, DEFAULT_CAP)
+        classes, shortcut, D = charsum._root_profile(f, base, DEFAULT_CAP)
         want = profile_by_enumeration(f, base)
         assert sorted(classes) == want and shortcut is False, f
+        assert D == squarefree_part(f).degree(), f
         for idx in rng.sample(range(1, B.Q - 1), min(6, B.Q - 2)):
             chi = make_character(B, idx)
             assert weil_applicability(chi, f, base).applicable is verdict_from_classes(want, chi), (f, idx)
@@ -299,9 +301,9 @@ def test_beyond_cap_shortcut_agrees_with_default_cap(p, k, m):
         polys.append(f)
     seen = {"shortcut_true": 0, "undecided": 0}
     for f in polys:
-        full, _ = charsum._root_profile(f, base, DEFAULT_CAP)
+        full, _, _ = charsum._root_profile(f, base, DEFAULT_CAP)
         for cap in (B.Q**2 - 1, B.Q**3 - 1):
-            classes, _ = charsum._root_profile(f, base, cap)
+            classes, _, _ = charsum._root_profile(f, base, cap)
             for idx in range(1, B.Q - 1):
                 chi = make_character(B, idx)
                 got = weil_applicability(chi, f, base, cap=cap)
@@ -356,12 +358,6 @@ def test_r_free_indicator_matches_closed_form_f9():
             got = r_free_indicator_sum(el, r)
             want = r / nt.phi(r) if is_r_free(el, r) else 0.0
             assert got == pytest.approx(want, abs=1e-9 * nt.tau(r) * r)
-
-
-def test_primitive_indicator():
-    f7 = make_field(7, 1)
-    assert primitive_indicator(f7.element(3)) == pytest.approx(1.0, abs=TOL)
-    assert primitive_indicator(f7.element(2)) == pytest.approx(0.0, abs=TOL)
 
 
 def test_char_sum_with_a_large_index_matches_python_ints():

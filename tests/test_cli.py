@@ -179,6 +179,43 @@ def test_verify_tampered_exits_1(tmp_path):
     assert result["ok"] is False and result["problems"]
 
 
+# options a subcommand does not read: argparse refuses them with exit 2
+UNREAD_OPTIONS = {
+    "construct-format": ["construct", "--p", "7", "--k", "1", "--h", "2", "--d", "2", "--format", "csv"],
+    "construct-seed": ["construct", "--p", "7", "--k", "1", "--h", "2", "--d", "2", "--seed", "1"],
+    "primitive-format": ["primitive", "--q", "7", "--n", "2", "--format", "csv"],
+    "mn-search-seed": ["mn-search", "--q", "3", "--kk", "2", "--l", "2", "--seed", "1"],
+    "verify-format": ["verify", "rep.json", "--format", "csv"],
+    "survey-seed": ["survey", "--q-min", "7", "--q-max", "7", "--seed", "1"],
+    "audit-bounds-cap-field": ["audit-bounds", "--q-max", "10", "--cap-field", "100"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_OPTIONS))
+def test_an_unread_option_exits_2(case):
+    with pytest.raises(SystemExit) as exc:
+        run(UNREAD_OPTIONS[case])
+    assert exc.value.code == 2
+
+
+def test_each_subcommand_takes_the_options_it_reads():
+    # the shapes the benchmark harness and criterion 12 pass, plus each
+    # option on a subcommand that reads it
+    ap = cli._build_parser()
+    for argv in (
+        ["survey", "--q-min", "7", "--q-max", "31", "--h", "2", "--d", "3", "--format", "csv"],
+        ["audit-weil", "--q-list", "101", "--m", "2", "--count", "25", "--format", "csv", "--seed", "5"],
+        ["construct", "--p", "3", "--k", "4", "--h", "2", "--d", "2", "--cap-field", "100", "--out", "x"],
+        ["audit-bounds", "--q-max", "10", "--format", "csv", "--out", "x"],
+        ["ck-check", "--format", "csv", "--cap-field", "100"],
+        ["hm-check", "--format", "csv", "--cap-field", "100"],
+        ["primitive", "--q", "7", "--n", "2", "--cap-field", "100"],
+        ["mn-search", "--q", "3", "--kk", "2", "--l", "2", "--cap-field", "100"],
+        ["verify", "rep.json", "--cap-field", "100"],
+    ):
+        ap.parse_args(argv)
+
+
 def _construct_report(tmp_path):
     path = tmp_path / "rep.json"
     run(["construct", "--p", "7", "--k", "1", "--h", "2", "--d", "2", "--out", str(path)])

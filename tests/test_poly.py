@@ -3,7 +3,9 @@ criteria, squarefree parts, roots in extensions.
 
 Irreducibility oracles: naive trial division by all lower-degree monic
 polynomials, written here from scratch over the index arithmetic, and
-sympy's galoistools over prime fields. Root
+sympy's galoistools over prime fields. Distinct-degree oracles: sympy's
+gf_ddf_zassenhaus over prime fields, and over GF(4) and GF(9) the product
+of the components and the degree of every root, by evaluation. Root
 oracles: evaluation at every element of the extension (the whole-field
 search that roots_in_extension replaced), and sympy's galoistools over
 prime fields.
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_factor, gf_irreducible_p
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_factor, gf_irreducible_p, gf_sqf_part
 
 from ffwitness import poly
 from ffwitness.field import get_embedding, make_field, FieldElement
@@ -24,12 +26,12 @@ from ffwitness.poly import (
     Polynomial,
     binomial_irreducible_check,
     composed_irreducible_check,
+    distinct_degree_factors,
     is_irreducible,
     poly_powmod,
     pth_root_poly,
     roots_in_extension,
     squarefree_part,
-    squarefree_part_degree,
 )
 
 
@@ -153,7 +155,7 @@ def test_gcd_is_monic_common_divisor():
     g = a * Polynomial(fd, (3, 1))
     d = f.gcd(g)
     assert d == a
-    assert d.is_monic()
+    assert d.coeffs[-1] == 1
 
 
 def test_derivative_char_p():
@@ -292,7 +294,7 @@ def test_squarefree_part_anchors():
     # x**3 - 1 == (x - 1)**3 in characteristic 3
     x3m1 = Polynomial(f3, (2, 0, 0, 1))
     assert squarefree_part(x3m1) == Polynomial(f3, (2, 1))
-    assert squarefree_part_degree(x3m1) == 1
+    assert squarefree_part(x3m1).degree() == 1
 
 
 def test_squarefree_part_degree_exhaustive_f3():
@@ -441,3 +443,61 @@ def test_is_irreducible_matches_sympy_over_prime_fields(p, data):
         f = draw_poly(4) * draw_poly(4)
     want = gf_irreducible_p([ZZ(c) for c in reversed(f.coeffs)], p, ZZ)
     assert is_irreducible(f) == want
+
+
+def squarefree_monics(fd, rng, max_degree, pool_degrees=(1, 2, 3)):
+    """Seeded monic squarefree polynomials over fd of degree <= max_degree:
+    products of distinct irreducibles, several of one degree among them,
+    and squarefree parts of random products."""
+    pool = {d: [f for f in all_monic(fd, d) if is_irreducible(f)] for d in pool_degrees}
+    out = []
+    for d in pool_degrees:  # as many distinct factors of degree d as fit
+        n = min(len(pool[d]), max_degree // d)
+        f = Polynomial(fd, (1,))
+        for g in rng.sample(pool[d], n):
+            f = f * g
+        out.append(f)
+    for _ in range(12):
+        f = Polynomial(fd, (1,))
+        for d in rng.sample(pool_degrees, len(pool_degrees)):
+            for g in rng.sample(pool[d], min(len(pool[d]), rng.randint(0, 2))):
+                if f.degree() + d <= max_degree:
+                    f = f * g
+        out.append(f)
+        deg = rng.randint(1, max_degree)
+        g = Polynomial(fd, [rng.randrange(fd.Q) for _ in range(deg)] + [1])
+        out.append(squarefree_part(g))
+    return [f for f in out if f.degree() >= 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_distinct_degree_factors_match_sympy(p):
+    fd = make_field(p, 1)
+    cases = squarefree_monics(fd, random.Random(p), 8)
+    assert any(sum(1 for _ in distinct_degree_factors(f)) >= 2 for f in cases)
+    for f in cases:
+        sym = [ZZ(c) for c in reversed(f.coeffs)]
+        assert gf_sqf_part(sym, p, ZZ) == sym
+        want = [(d, [int(c) for c in g]) for g, d in gf_ddf_zassenhaus(sym, p, ZZ)]
+        got = [(i, list(reversed(comp.coeffs))) for i, comp in distinct_degree_factors(f)]
+        assert got == want, f
+
+
+@pytest.mark.parametrize("p,k,max_degree", [(2, 2, 8), (3, 2, 5)])
+def test_distinct_degree_components_by_evaluation(p, k, max_degree):
+    # GF(9) stops at degree 5 so that the largest level field, GF(9**5),
+    # stays small enough to enumerate
+    fd = make_field(p, k)
+    for f in squarefree_monics(fd, random.Random(10 * p + k), max_degree, (1, 2)):
+        prod, levels = Polynomial(fd, (1,)), []
+        for i, comp in distinct_degree_factors(f):
+            levels.append(i)
+            prod = prod * comp
+            E = make_field(p, k * i)
+            g = Polynomial(E, [get_embedding(fd, E).map_idx(c) for c in comp.coeffs])
+            roots = np.nonzero(E.eval_poly_vec(list(g.coeffs), E.all_indices()) == 0)[0].tolist()
+            # squarefree with every root of degree exactly i over fd
+            assert len(roots) == comp.degree(), (f, i)
+            for r in roots:
+                assert min(s for s in range(1, i + 1) if E.pow_idx(r, fd.Q**s) == r) == i
+        assert prod == f and levels == sorted(set(levels)), f
