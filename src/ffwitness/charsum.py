@@ -2,6 +2,9 @@
 an embedded subfield, the square-root cancellation bound with an honest
 applicability test, and the r-free indicator sums (primitive is r = Q - 1).
 
+Every character value goes through one kernel, char_sums, which sums a vector
+of characters over the discrete logs of some field values in one gather.
+
 The applicability test follows the norm criterion: the bound covers the sum
 of chi over f(subfield) when for some root zeta of f, with multiplicity t,
 chi**t is nontrivial on the norm image (down to GF(Q)) of GF(q)(zeta)*. The
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +57,18 @@ def _omega(fd: FieldDescriptor) -> np.ndarray:
     return cached((fd,), "omega", build)
 
 
+def char_sums(fd: FieldDescriptor, logs: Sequence[int], indices: Sequence[int]) -> np.ndarray:
+    """For each character index j in `indices`, the sum of
+    exp(2*pi*i*j*l/(Q-1)) over the discrete logs l in `logs`, in one gather.
+    Logs -1 (zeros, where every character is 0) are dropped. Each row sums
+    bit for bit as the 1-D gather of its index alone would."""
+    logs = np.asarray(logs, dtype=np.int64)
+    logs = logs[logs >= 0]
+    idx = np.asarray(indices, dtype=np.int64)
+    # both factors are below Q - 1 <= 2**30, so the product fits in int64
+    return _omega(fd)[(idx[:, None] * logs) % (fd.Q - 1)].sum(axis=1)
+
+
 @dataclass(frozen=True)
 class Character:
     """The multiplicative character g**j -> exp(2*pi*i*j*index/(Q-1)),
@@ -72,13 +88,7 @@ class Character:
 
     def __call__(self, beta: FieldElement | int) -> complex:
         idx = beta.idx if isinstance(beta, FieldElement) else int(beta)
-        if idx == 0:
-            return 0j
-        n = self.field.Q - 1
-        return complex(_omega(self.field)[(self.index * self.field.log_idx(idx)) % n])
-
-    def power(self, t: int) -> "Character":
-        return Character(self.field, (self.index * t) % (self.field.Q - 1))
+        return complex(char_sums(self.field, self.field.log_vec(np.array([idx])), [self.index])[0])
 
 
 def make_character(fd: FieldDescriptor, index: int) -> Character:
@@ -118,8 +128,6 @@ class CharSumResult:
     terms: int
     bound: float | None
     applicable: bool | None
-    m: int
-    D: int
 
     @property
     def ok(self) -> bool | None:
@@ -245,61 +253,66 @@ def weil_applicability(
     return WeilApplicability(False, m, D, bound, shortcut_used, 0)
 
 
+def incomplete_char_sums(
+    groups: Iterable[list[Character]], f: Polynomial, base: FieldDescriptor, *, cap: int | None = None
+) -> Iterator[CharSumResult]:
+    """incomplete_char_sum for each character of each group, in order. f is
+    evaluated over the base field once, and each group is one char_sums
+    gather, taken only when the results reach that group."""
+    B = f.field
+    points = np.array(get_embedding(base, B).image_indices(), dtype=np.int64)
+    logs = B.log_vec(B.eval_poly_vec(f.coeffs, points))
+    for chis in groups:
+        for chi, value in zip(chis, char_sums(B, logs, [chi.index for chi in chis])):
+            w = weil_applicability(chi, f, base, cap=cap)
+            yield CharSumResult(complex(value), base.Q, w.bound, w.applicable)
+
+
 def incomplete_char_sum(
     chi: Character, f: Polynomial, base: FieldDescriptor, *, cap: int | None = None
 ) -> CharSumResult:
     """Sum of chi(f(a)) over a in the embedded base field, with the bound and
     its applicability attached."""
-    m = _check_domain(chi, f, base)
-    B = chi.field
-    emb = get_embedding(base, B)
-    points = np.array(emb.image_indices(), dtype=np.int64)
-    vals = B.eval_poly_vec(f.coeffs, points)
-    logs = B.log_vec(vals)
-    nz = logs >= 0
-    total = complex(_omega(B)[(chi.index * logs[nz]) % (B.Q - 1)].sum())
-    w = weil_applicability(chi, f, base, cap=cap)
-    return CharSumResult(total, base.Q, w.bound, w.applicable, m, w.D)
+    return next(incomplete_char_sums([[chi]], f, base, cap=cap))
 
 
 # ---------------------------------------------------------------------------
 # r-free indicators
 
 
-def _check_unit(alpha: FieldElement) -> FieldDescriptor:
+def _check_unit(alpha: FieldElement, r: int) -> FieldDescriptor:
     if alpha.idx == 0:
         raise ValueError("zero input: the indicator machinery lives on the unit group")
+    n = alpha.field.Q - 1
+    if r < 1 or n % r != 0:
+        raise ValueError(f"r = {r} must divide Q-1 = {n}")
     return alpha.field
 
 
 def is_r_free(alpha: FieldElement, r: int) -> bool:
     """alpha is r-free when gcd(r, (Q-1)/ord(alpha)) == 1: no d | r with d > 1
     admits a d-th root of alpha. Requires r | Q-1."""
-    fd = _check_unit(alpha)
-    n = fd.Q - 1
-    if r < 1 or n % r != 0:
-        raise ValueError(f"r = {r} must divide Q-1 = {n}")
-    return math.gcd(r, n // mult_order(alpha)) == 1
+    fd = _check_unit(alpha, r)
+    return math.gcd(r, (fd.Q - 1) // mult_order(alpha)) == 1
 
 
 def r_free_indicator_sum(alpha: FieldElement, r: int) -> complex:
     """The Moebius-weighted character sum sum_{d | r} mu(d)/phi(d) *
     sum_{ord(chi) = d} chi(alpha); equals r/phi(r) when alpha is r-free and 0
-    otherwise."""
-    fd = _check_unit(alpha)
-    n = fd.Q - 1
-    if r < 1 or n % r != 0:
-        raise ValueError(f"r = {r} must divide Q-1 = {n}")
-    total = 0j
-    for d in nt.factorize(r).divisors():
-        mu = nt.moebius(d)
-        if mu == 0:
-            continue
-        inner = 0j
-        for chi in characters_of_order(fd, d):
-            inner += chi(alpha)
-        total += (mu / nt.phi(d)) * inner
-    return total
+    otherwise. The weighted characters depend on Q and r alone, so they are
+    held on the field and each alpha costs one char_sums gather."""
+    fd = _check_unit(alpha, r)
+
+    def build():
+        rows = []
+        for d in nt.factorize(r).divisors():
+            w = nt.moebius(d) / nt.phi(d)
+            if w:
+                rows += [(w, chi.index) for chi in characters_of_order(fd, d)]
+        return np.array(rows, dtype=[("weight", np.float64), ("index", np.int64)])
+
+    chis = cached((fd,), ("r-free", r), build)
+    return complex(chis["weight"] @ char_sums(fd, [fd.log_idx(alpha.idx)], chis["index"]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nt
-from .charsum import characters_of_order, incomplete_char_sum
+from .charsum import characters_of_order, incomplete_char_sums
 from .field import (
     CapExceeded,
     FieldDescriptor,
@@ -409,16 +409,10 @@ def primitive_weil_audit(
     base, big = make_field_pair(q, n, cap=cap)
     f = Polynomial.binomial(big, t, FieldElement(big, alpha_index)).scale(big.neg_idx(1))
     # f = alpha - x**t
-    unknown = False
-    for dd in nt.factorize(big.Q - 1).divisors():
-        if dd == 1 or nt.moebius(dd) == 0:
-            continue
-        for chi in characters_of_order(big, dd):
-            ok = incomplete_char_sum(chi, f, base, cap=cap).ok
-            if ok is False:
-                return False
-            unknown = unknown or ok is None
-    return None if unknown else True
+    orders = [dd for dd in nt.factorize(big.Q - 1).divisors() if dd > 1 and nt.moebius(dd)]
+    groups = (characters_of_order(big, dd) for dd in orders)
+    oks = {res.ok for res in incomplete_char_sums(groups, f, base, cap=cap)}
+    return False if False in oks else None if None in oks else True
 
 
 # ---------------------------------------------------------------------------

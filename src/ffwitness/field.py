@@ -369,11 +369,6 @@ class FieldDescriptor:
         """Bytes of exp and log (TABLE_BYTES per element) and of Zech, if built."""
         return self._exp.nbytes + self._log.nbytes + (self._zech.nbytes if self._zech is not None else 0)
 
-    def __reduce__(self):
-        # memoryviews do not pickle; the construction is deterministic, so a
-        # descriptor travels as its (p, k) and is rebuilt on arrival
-        return _unpickle_field, (self.p, self.k)
-
     # -- element handles -----------------------------------------------------
 
     @property
@@ -568,13 +563,9 @@ def make_field_pair(q: int, h: int, *, cap: int | None = None) -> tuple[FieldDes
     return make_field(p, k, cap=cap), make_field(p, k * h, cap=cap)
 
 
-def _unpickle_field(p: int, k: int) -> FieldDescriptor:
-    return make_field(p, k, cap=max(DEFAULT_CAP, p**k))
-
-
 def _prime_field_ring(p: int):
     """The ``poly`` module and GF(p), whose polynomial ring builds GF(p**k)
-    for k >= 2. As in _unpickle_field, a subfield is built whatever the cap."""
+    for k >= 2. GF(p) is built whatever the cap, as every field needs it."""
     # poly imports this module at load time, hence the import at call time
     from . import poly
 

@@ -67,15 +67,6 @@ def test_quadratic_character_is_legendre():
         assert chi(f7.element(a)) == pytest.approx(want)
 
 
-def test_character_power():
-    f7 = make_field(7, 1)
-    chi = make_character(f7, 1)
-    sq = chi.power(3)
-    assert sq.order == 2
-    for a in range(1, 7):
-        assert cmath.isclose(sq(f7.element(a)), chi(f7.element(a)) ** 3, abs_tol=TOL)
-
-
 def test_characters_of_order():
     f7 = make_field(7, 1)
     for d in (1, 2, 3, 6):
@@ -360,23 +351,60 @@ def test_r_free_indicator_matches_closed_form_f9():
             assert got == pytest.approx(want, abs=1e-9 * nt.tau(r) * r)
 
 
-def test_char_sum_with_a_large_index_matches_python_ints():
-    # on GF(251**2), Q - 1 = 63000, a 32-bit index * log wraps; recompute
-    # the sum term by term with Python ints
-    base, B = make_field(251, 1), make_field(251, 2)
+def scalar_char_sum(chi, f, base):
+    """Sum of chi(f(a)) over the embedded base field, term by term: Horner
+    with the scalar ops, log_idx and cmath, with Python ints throughout."""
+    B = chi.field
     n = B.Q - 1
-    chi = make_character(B, n - 1)
-    f = Polynomial(B, [40000, 0, 62000, 1])
     emb = get_embedding(base, B)
-    want = 0j
+    total = 0j
     for a in range(base.Q):
         x, y = emb.map_idx(a), 0
         for c in reversed(f.coeffs):
             y = B.add_idx(B.mul_idx(y, x), c)
         if y:
-            want += cmath.exp(2j * cmath.pi * ((chi.index * B.log_idx(y)) % n) / n)
+            total += cmath.exp(2j * cmath.pi * ((chi.index * B.log_idx(y)) % n) / n)
+    return total
+
+
+def test_char_sum_with_a_large_index_matches_python_ints():
+    # on GF(251**2), Q - 1 = 63000, a 32-bit index * log wraps
+    base, B = make_field(251, 1), make_field(251, 2)
+    chi = make_character(B, B.Q - 2)
+    f = Polynomial(B, [40000, 0, 62000, 1])
     got = incomplete_char_sum(chi, f, base)
-    assert abs(got.value - want) < 1e-7 and got.terms == base.Q
+    assert abs(got.value - scalar_char_sum(chi, f, base)) < 1e-7 and got.terms == base.Q
+
+
+@pytest.mark.parametrize("p,k,m", [(7, 1, 1), (5, 1, 2), (2, 2, 2), (3, 1, 3), (2, 3, 2), (13, 1, 2)])
+def test_incomplete_char_sum_matches_the_scalar_sum(p, k, m):
+    base, B = make_field(p, k), make_field(p, k * m)
+    rng = random.Random(p * 100 + k * 10 + m)
+    for _ in range(12):
+        deg = rng.randint(1, 4)
+        f = Polynomial(B, [rng.randrange(B.Q) for _ in range(deg)] + [rng.randrange(1, B.Q)])
+        chi = make_character(B, rng.randrange(B.Q - 1))
+        got = incomplete_char_sum(chi, f, base)
+        assert abs(got.value - scalar_char_sum(chi, f, base)) < 1e-9
+
+
+# -- the one kernel --------------------------------------------------------------
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (2, 8), (3, 5), (251, 2)])
+def test_char_sums_equals_the_per_index_gather_bit_for_bit(p, k):
+    fd = make_field(p, k)
+    n = fd.Q - 1
+    omega = np.exp(2j * np.pi * np.arange(n) / n)
+    rng = np.random.default_rng(fd.Q)
+    for size in (0, 1, 2, 7, 64, 300):
+        logs = rng.integers(-1, n, size=size)
+        logs[: size // 4] = -1  # zeros among the values
+        indices = np.concatenate([[0], rng.integers(0, n, size=9), [n - 1, 1, 1]])  # repeats
+        got = charsum.char_sums(fd, logs, indices)
+        assert got.shape == indices.shape
+        for j, value in zip(indices, got):
+            want = omega[(int(j) * logs[logs >= 0]) % n].sum()
+            assert value == want, (p, k, size, j)
 
 
 # -- audit sampler ---------------------------------------------------------------

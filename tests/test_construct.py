@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ffwitness import construct, field, nt, poly
+from ffwitness.charsum import characters_of_order, incomplete_char_sum
 from ffwitness.field import CapExceeded, get_embedding, is_dth_power, make_field
 from ffwitness.construct import (
     alpha_density_scan,
@@ -347,6 +348,29 @@ def test_primitive_count_meets_bound_where_tau_holds(q):
 def test_primitive_weil_audit_q7():
     rep = primitive_set_search(7, 2, 1)
     assert primitive_weil_audit(7, 2, 1, rep.spec.alpha_index) is True
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_primitive_weil_audit_matches_the_per_character_loop(q):
+    # the audit as one incomplete_char_sum per character of each squarefree
+    # order d > 1, each call evaluating f afresh
+    base, big = field.make_field_pair(q, 2)
+    orders = [d for d in nt.factorize(big.Q - 1).divisors() if d > 1 and nt.moebius(d)]
+    verdicts = set()
+    for t in (1, 2):
+        for a in range(big.Q):
+            f = poly.Polynomial.binomial(big, t, big.element(a)).scale(big.neg_idx(1))
+            oks = [
+                incomplete_char_sum(chi, f, base).ok
+                for d in orders
+                for chi in characters_of_order(big, d)
+            ]
+            want = False if False in oks else None if None in oks else True
+            assert primitive_weil_audit(q, 2, t, a) is want, (q, t, a)
+            verdicts.add(want)
+    # alphas in GF(q) give f a root in the base field, where the bound does
+    # not apply (None); no applicable sum exceeds its bound, so never False
+    assert verdicts == {True, None}
 
 
 def test_survey_row_q7():

@@ -8,7 +8,6 @@ modulus, and the modulus search and the prime-field generator against
 sympy's gf_irreducible_p and primitive_root.
 """
 
-import pickle
 import random
 import tracemalloc
 
@@ -488,12 +487,6 @@ def test_mult_order_and_dth_power():
     assert squares == {1, 2, 4}
     brute = {f7.mul_idx(a, a) for a in range(1, 7)}
     assert squares == brute
-
-
-def test_descriptor_pickles_as_the_cached_field():
-    fd = make_field(101, 2)
-    fd.add_idx(5, 7)  # builds the Zech table
-    assert pickle.loads(pickle.dumps(fd)) is fd
 
 
 def test_field_cache_identity():

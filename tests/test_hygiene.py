@@ -94,3 +94,47 @@ def test_an_orphaned_private_definition_is_found():
         "    return _Used()\n",
     ]
     assert orphaned_private_definitions(sources) == ["_never (line 6)", "_orphan (line 8)"]
+
+
+def call_sites(source: str, callee: str) -> list[str]:
+    """The enclosing function (dotted through classes and nested functions,
+    ``<module>`` at top level) of each call of ``callee`` by name or as an
+    attribute, in source order."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
+                    sites.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def test_omega_is_read_only_by_the_char_sums_kernel():
+    # every character value goes through charsum.char_sums
+    sites = {
+        p.name: call_sites(p.read_text(encoding="utf-8"), "_omega")
+        for p in Path(ffwitness.__file__).parent.glob("*.py")
+    }
+    assert {name: s for name, s in sites.items() if s} == {"charsum.py": ["char_sums"]}
+
+
+def test_a_second_omega_call_site_is_found():
+    source = (
+        "def _omega(fd):\n"
+        "    return fd\n"
+        "def char_sums(fd, logs, indices):\n"
+        "    return _omega(fd)[logs]\n"
+        "class Character:\n"
+        "    def __call__(self, beta):\n"
+        "        return _omega(self.field)[beta]\n"
+        "TABLE = charsum._omega(None)\n"
+    )
+    assert call_sites(source, "_omega") == ["char_sums", "Character.__call__", "<module>"]
