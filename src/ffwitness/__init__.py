@@ -31,7 +31,6 @@ from .charsum import (
 from .construct import (
     ConstructionReport,
     ConstructionSpec,
-    alpha_density_scan,
     build_set,
     construct_pipeline,
     coulter_kosick_check,

@@ -9,11 +9,13 @@ The applicability test follows the norm criterion: the bound covers the sum
 of chi over f(subfield) when for some root zeta of f, with multiplicity t,
 chi**t is nontrivial on the norm image (down to GF(Q)) of GF(q)(zeta)*. The
 roots are grouped by the distinct-degree factorization of the squarefree
-part of f, the one poly.is_irreducible runs. Level i, whose roots have
-degree exactly i over GF(Q) (level 1 holds those in GF(Q) itself), is
-resolved exactly, by finding its roots in GF(Q**i), when that field fits the
-cap. Beyond the cap only a simple-root shortcut can certify, and anything
-else is reported as unknown rather than guessed.
+part of f, the one poly.is_irreducible runs. Level i holds the roots of
+degree exactly i over GF(Q) (level 1 those in GF(Q) itself). A level that is
+one irreducible factor P is decided in closed form at every size: its i
+roots are conjugate, so they share the multiplicity of P in f and the field
+GF(q)(zeta), and no extension field is built. A level of several factors of
+one degree is resolved by finding its roots in GF(Q**i) when that field fits
+the cap, and is reported as unknown beyond it rather than guessed.
 """
 
 from __future__ import annotations
@@ -78,11 +80,6 @@ class Character:
     index: int
 
     @property
-    def order(self) -> int:
-        n = self.field.Q - 1
-        return n // math.gcd(self.index, n)
-
-    @property
     def is_trivial(self) -> bool:
         return self.index == 0
 
@@ -118,8 +115,7 @@ class WeilApplicability:
     m: int
     D: int
     bound: float | None
-    shortcut_used: bool
-    undecided_classes: int
+    shortcut_used: bool  # some level was decided from its one irreducible factor
 
 
 @dataclass(frozen=True)
@@ -136,15 +132,6 @@ class CharSumResult:
         if self.applicable is not True:
             return None
         return abs(self.value) <= self.bound + 1e-6
-
-    def to_json(self) -> dict:
-        return {
-            "re": self.value.real,
-            "im": self.value.imag,
-            "terms": self.terms,
-            "bound": self.bound,
-            "applicable": self.applicable,
-        }
 
 
 def _check_domain(chi: Character, f: Polynomial, base: FieldDescriptor) -> int:
@@ -163,12 +150,12 @@ def _frobenius_degree(fd: FieldDescriptor, idx: int, q: int, span: int) -> int:
     raise RuntimeError("element fixed by no Frobenius power in its own field")
 
 
-def _norm_image_order(ext: FieldDescriptor, down_Q: int, q: int, j: int) -> int:
+def _norm_image_order(ext_Q: int, down_Q: int, q: int, j: int) -> int:
     """Order of Norm(GF(q**j)*) inside GF(down_Q)*, with the norm taken from
-    ext down to GF(down_Q). In log space GF(q**j)* is the multiples of
+    GF(ext_Q) down to GF(down_Q). In log space GF(q**j)* is the multiples of
     stride = n/(q**j - 1) and the norm multiplies logs by n/(down_Q - 1), so
     the image is the cyclic group generated by their product mod n."""
-    n = ext.Q - 1
+    n = ext_Q - 1
     stride = n // (q**j - 1)
     norm_exp = n // (down_Q - 1)
     return n // math.gcd(stride * norm_exp, n)
@@ -179,19 +166,39 @@ def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple
     and by the order of the norm image of GF(q)(zeta)* in B*, one
     distinct-degree level of the squarefree part of f at a time.
 
+    A level that is one irreducible factor P of degree i is decided in closed
+    form at every cap: its i roots are conjugate over B, so each has the
+    multiplicity of P in f and generates GF(q**j) over GF(q), j the least
+    divisor s of m*i with x**(q**s) = x mod P. A level of several factors of
+    one degree has its roots found in GF(Q**i) when that field fits the cap.
+
     Returns (classes, shortcut_used, D) where classes is a tuple of
-    (multiplicity, image_order_or_None), None meaning the class could not be
-    resolved within the cap, and D is the degree of the squarefree part.
+    (multiplicity, image_order) per root, (None, None) for a level beyond
+    the cap, shortcut_used says some level was decided from its single
+    factor, and D is the degree of the squarefree part.
     """
     B = f.field
     q = base.Q
     m = B.k // base.k
     fm = f.monic()
     sf = squarefree_part(fm)
+    x = Polynomial.x(B)
     classes: list[tuple[int | None, int | None]] = []
     shortcut_used = False
     for i, comp in distinct_degree_factors(sf):
-        if B.Q**i <= cap:
+        if comp.degree() == i:
+            # j is the least divisor s of m*i with x**(q**s) = x mod comp;
+            # each power comes from the last one tried, and s = m*i needs no
+            # test, as the roots lie in GF(Q**i)
+            x_mod, cur, prev, j = x % comp, x, 0, m * i
+            for s in nt.factorize(m * i).divisors()[:-1]:
+                cur, prev = poly_powmod(cur, q ** (s - prev), comp), s
+                if cur == x_mod:
+                    j = s
+                    break
+            classes += [(multiplicity(fm, comp), _norm_image_order(B.Q**i, B.Q, q, j))] * i
+            shortcut_used = True
+        elif B.Q**i <= cap:
             # every root of comp has degree exactly i over B, so GF(Q**i)
             # holds them all
             ext = make_field(B.p, B.k * i, cap=cap)
@@ -199,25 +206,7 @@ def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple
             for zeta, _ in roots_in_extension(comp, ext):
                 mult = multiplicity(g, Polynomial(ext, (ext.neg_idx(zeta.idx), 1)))
                 j = _frobenius_degree(ext, zeta.idx, q, m * i)
-                classes.append((mult, _norm_image_order(ext, B.Q, q, j)))
-        elif comp.degree() == i:
-            # a single irreducible factor; the shortcut needs a simple root
-            # whose field GF(q)(zeta) is all of B[zeta]
-            mult = multiplicity(fm, comp)
-            x = Polynomial.x(B)
-            cur = x
-            j = None
-            for s in range(1, m * i + 1):
-                cur = poly_powmod(cur, q, comp)
-                if cur == x:
-                    j = s
-                    break
-            if mult == 1 and j == m * i:
-                # norm of B[zeta]* onto B* is surjective, so the image is all of B*
-                classes.append((1, B.Q - 1))
-                shortcut_used = True
-            else:
-                classes.append((mult, None))
+                classes.append((mult, _norm_image_order(ext.Q, B.Q, q, j)))
         else:
             # several factors of degree i beyond the cap, not told apart
             classes.append((None, None))
@@ -233,24 +222,19 @@ def weil_applicability(
     m = _check_domain(chi, f, base)
     cap_eff = cap if cap is not None else DEFAULT_CAP
     if f.degree() < 1:
-        return WeilApplicability(False, m, 0, None, False, 0)
+        return WeilApplicability(False, m, 0, None, False)
     key = ("profile", f.coeffs, base._key, cap_eff)
     classes, shortcut_used, D = cached((f.field, base), key, lambda: _root_profile(f, base, cap_eff))
     bound = (m * D - 1) * math.sqrt(base.Q)
     if chi.is_trivial:
-        return WeilApplicability(False, m, D, bound, False, 0)
-    undecided = 0
-    decided_true = False
+        return WeilApplicability(False, m, D, bound, False)
+    undecided = False
     for mult, image_order in classes:
         if image_order is None:
-            undecided += 1
+            undecided = True
         elif (mult * chi.index) % image_order != 0:
-            decided_true = True
-    if decided_true:
-        return WeilApplicability(True, m, D, bound, shortcut_used, undecided)
-    if undecided:
-        return WeilApplicability(None, m, D, bound, shortcut_used, undecided)
-    return WeilApplicability(False, m, D, bound, shortcut_used, 0)
+            return WeilApplicability(True, m, D, bound, shortcut_used)
+    return WeilApplicability(None if undecided else False, m, D, bound, shortcut_used)
 
 
 def incomplete_char_sums(

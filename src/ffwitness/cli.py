@@ -186,7 +186,7 @@ def _checks_out(key: str, results: list[dict], args) -> int:
 
 def _cmd_ck_check(args) -> int:
     cap = _effective_cap(args)
-    qs = [q for q in nt.prime_powers_in(args.q_min, args.q_max) if q % 2 == 1]
+    qs = (q for q in nt.prime_powers_in(args.q_min, args.q_max) if q % 2 == 1)
     return _checks_out("q", [{"q": q, "ok": coulter_kosick_check(q, cap=cap)} for q in qs], args)
 
 

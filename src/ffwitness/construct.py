@@ -264,32 +264,6 @@ def base_image_mask(q: int, h: int, *, cap: int | None = None) -> np.ndarray:
     return mask
 
 
-def alpha_density_scan(q: int, h: int, t: int, d: int, *, cap: int | None = None) -> tuple[int, int, int]:
-    """Over all alpha outside the embedded base field: how many satisfy the
-    four guarantee conditions (valid), and how many cosets
-    {alpha - x**t} actually contain a non-d-th power (certified).
-
-    Returns (valid, certified, total)."""
-    _, big = make_field_pair(q, h, cap=cap)
-    qh = big.Q
-    if d < 1 or (qh - 1) % d != 0:
-        raise ValueError(f"d = {d} must divide q**h - 1 = {qh - 1}")
-    not_base = ~base_image_mask(q, h, cap=cap)
-    all_idx = big.all_indices()
-    logs = big.log_vec(all_idx)
-    # conditions 1 to 3 vary with alpha only through e = ord(alpha), a
-    # divisor of q**h - 1: decide them once per divisor
-    orders = (qh - 1) // np.gcd(np.where(logs < 0, 0, logs), qh - 1)
-    divisors = np.array(nt.factorize(qh - 1).divisors(), dtype=np.int64)
-    holds = np.array([all(nt.binomial_conditions(t, qh, int(e))) for e in divisors])
-    c4 = t * t * h * h <= q
-    valid_mask = holds[np.searchsorted(divisors, orders)] & c4 & not_base & (all_idx != 0)
-    g = coset_power_gcds(q, h, t, cap=cap)
-    certified_mask = (g % d != 0) & not_base
-    total = int(not_base.sum())
-    return int(valid_mask.sum()), int(certified_mask.sum()), total
-
-
 # ---------------------------------------------------------------------------
 # neighboring statements, checked exhaustively at desk scale
 

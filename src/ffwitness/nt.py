@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 # Trial division is exact but quadratic in the bit length; keep inputs small.
 FACTOR_CAP = 1 << 63
@@ -84,9 +85,10 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def prime_powers_in(lo: int, hi: int) -> list[int]:
-    """All prime powers q with lo <= q <= hi, ascending."""
-    return [n for n in range(max(lo, 2), hi + 1) if is_prime_power(n) is not None]
+def prime_powers_in(lo: int, hi: int) -> Iterator[int]:
+    """All prime powers q with lo <= q <= hi, ascending, each tested only
+    when the caller asks for it."""
+    return (n for n in range(max(lo, 2), hi + 1) if is_prime_power(n) is not None)
 
 
 def tau(n: int) -> int:

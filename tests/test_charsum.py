@@ -8,6 +8,7 @@ evaluates f at every element of each extension inside the cap.
 
 import cmath
 import itertools
+import math
 import random
 
 import numpy as np
@@ -25,15 +26,20 @@ from ffwitness.charsum import (
     weil_audit_instances,
 )
 from ffwitness.field import DEFAULT_CAP, get_embedding, is_dth_power, make_field
-from ffwitness.poly import Polynomial, is_irreducible, squarefree_part
+from ffwitness.poly import Polynomial, distinct_degree_factors, is_irreducible, squarefree_part
 
 TOL = 1e-9
+
+
+def order(chi):
+    n = chi.field.Q - 1
+    return n // math.gcd(chi.index, n)
 
 
 def test_character_basics():
     f7 = make_field(7, 1)
     chi = make_character(f7, 1)
-    assert chi.order == 6 and not chi.is_trivial
+    assert order(chi) == 6 and not chi.is_trivial
     assert chi(f7.element(0)) == 0j
     for a in range(1, 7):
         for b in range(1, 7):
@@ -46,7 +52,7 @@ def test_character_basics():
 def test_trivial_character():
     f7 = make_field(7, 1)
     triv = make_character(f7, 0)
-    assert triv.is_trivial and triv.order == 1
+    assert triv.is_trivial and order(triv) == 1
     assert sum(triv(f7.element(a)) for a in range(1, 7)) == pytest.approx(6)
 
 
@@ -61,7 +67,7 @@ def test_orthogonality():
 def test_quadratic_character_is_legendre():
     f7 = make_field(7, 1)
     chi = make_character(f7, 3)
-    assert chi.order == 2
+    assert order(chi) == 2
     legendre = {1: 1, 2: 1, 4: 1, 3: -1, 5: -1, 6: -1}
     for a, want in legendre.items():
         assert chi(f7.element(a)) == pytest.approx(want)
@@ -73,7 +79,7 @@ def test_characters_of_order():
         chis = characters_of_order(f7, d)
         assert len(chis) == nt.phi(d)
         for chi in chis:
-            assert chi.order == d
+            assert order(chi) == d
     with pytest.raises(ValueError):
         characters_of_order(f7, 4)  # 4 does not divide 6
 
@@ -125,7 +131,7 @@ def test_weil_inapplicable_intermediate_subfield():
     )
     f = Polynomial(f81, (f81.neg_idx(alpha), 1))
     chi = make_character(f81, 40)
-    assert chi.order == 2
+    assert order(chi) == 2
     app = weil_applicability(chi, f, f3)
     assert app.applicable is False
 
@@ -145,15 +151,7 @@ def test_weil_constant_f_inapplicable():
     assert app.applicable is False
 
 
-def test_charsum_result_json():
-    f7 = make_field(7, 1)
-    res = incomplete_char_sum(make_character(f7, 3), Polynomial(f7, (1, 0, 1)), f7)
-    blob = res.to_json()
-    assert set(blob) == {"re", "im", "terms", "bound", "applicable"}
-    assert blob["applicable"] is True
-
-
-# -- root profile: distinct degrees, norm images, the beyond-cap shortcut ------
+# -- root profile: distinct degrees, norm images, one closed form per factor ---
 
 def norm_image_order_by_enumeration(ext, down_Q, q, j):
     # the logs of GF(q**j)* are the multiples of n/(q**j - 1); the norm down
@@ -177,7 +175,7 @@ def test_norm_image_order_closed_form_matches_enumeration():
                 if (m * i) % j:
                     continue
                 want = norm_image_order_by_enumeration(ext, p**down_k, q, j)
-                assert charsum._norm_image_order(ext, p**down_k, q, j) == want
+                assert charsum._norm_image_order(ext.Q, p**down_k, q, j) == want
                 checked += 1
     assert checked > 60
 
@@ -262,7 +260,10 @@ def test_root_profile_matches_enumeration_degrees_4_to_6(p, k, m, max_deg):
     for f in polys:
         classes, shortcut, D = charsum._root_profile(f, base, DEFAULT_CAP)
         want = profile_by_enumeration(f, base)
-        assert sorted(classes) == want and shortcut is False, f
+        # the shortcut marks a level decided from its one irreducible factor
+        levels = distinct_degree_factors(squarefree_part(f.monic()))
+        assert sorted(classes) == want, f
+        assert shortcut is any(comp.degree() == i for i, comp in levels), f
         assert D == squarefree_part(f).degree(), f
         for idx in rng.sample(range(1, B.Q - 1), min(6, B.Q - 2)):
             chi = make_character(B, idx)
@@ -271,13 +272,15 @@ def test_root_profile_matches_enumeration_degrees_4_to_6(p, k, m, max_deg):
 
 @pytest.mark.parametrize("p,k,m", [(3, 1, 2), (2, 1, 2), (2, 1, 3), (5, 1, 1)])
 def test_beyond_cap_shortcut_agrees_with_default_cap(p, k, m):
-    # with the cap below GF(B.Q**2) or GF(B.Q**3), factors of degree >= 2 or
-    # >= 3 are beyond it: a decided verdict there must equal the enumerated
-    # one at the default cap, and undecided (None) must be all it says else
+    # with the cap below GF(B.Q**2) or GF(B.Q**3), levels of degree >= 2 or
+    # >= 3 are beyond it: a level of one irreducible factor is still decided
+    # in closed form, a level of several factors of one degree is undecided
+    # (None), and a decided verdict must equal the one at the default cap
     base, B = make_field(p, k), make_field(p, k * m)
     rng = random.Random(7 * p + m)
-    # two irreducible quadratics: their product and a square leave nothing
-    # the shortcut may certify, so those draws are undecided beyond the cap
+    # two irreducible quadratics: their product is one level of two factors,
+    # undecided beyond the cap; the square of one is a single factor of
+    # multiplicity 2, decided at every cap
     quad = smallest_irreducibles(B, 2)
     polys = [quad[0] * quad[1], quad[0] * quad[0]]
     for _ in range(40):
@@ -295,6 +298,8 @@ def test_beyond_cap_shortcut_agrees_with_default_cap(p, k, m):
         full, _, _ = charsum._root_profile(f, base, DEFAULT_CAP)
         for cap in (B.Q**2 - 1, B.Q**3 - 1):
             classes, _, _ = charsum._root_profile(f, base, cap)
+            if (None, None) not in classes:
+                assert sorted(classes) == sorted(full), (f, cap)
             for idx in range(1, B.Q - 1):
                 chi = make_character(B, idx)
                 got = weil_applicability(chi, f, base, cap=cap)
@@ -302,16 +307,41 @@ def test_beyond_cap_shortcut_agrees_with_default_cap(p, k, m):
                 assert want is verdict_from_classes(full, chi)
                 if got.applicable is None:
                     seen["undecided"] += 1
-                    assert got.undecided_classes > 0
+                    assert (None, None) in classes
                 else:
                     assert got.applicable is want, (f, cap, idx)
                     if got.applicable and got.shortcut_used:
                         seen["shortcut_true"] += 1
-            if any(mult == 1 and order == B.Q - 1 for mult, order in classes):
-                # the shortcut certifies a norm image of all of B*, which the
-                # enumeration must confirm for some root
-                assert (1, B.Q - 1) in full
     assert seen["shortcut_true"] > 0 and seen["undecided"] > 0, seen
+
+
+def test_single_factor_levels_are_decided_beyond_the_cap():
+    # over GF(9) summed along GF(3): an irreducible cubic from GF(3), whose
+    # roots generate GF(27) and not GF(9**3), with GF(9**3) beyond the cap;
+    # and the square of an irreducible quadratic with GF(81) beyond it
+    f3, f9 = make_field(3, 1), make_field(3, 2)
+    emb = get_embedding(f3, f9)
+    cubic = Polynomial(f9, [emb.map_idx(c) for c in (1, 2, 0, 1)])  # x**3 + 2x + 1
+    quad = smallest_irreducibles(f9, 2)[0]
+    assert is_irreducible(cubic)
+    for f, cap in [(cubic, 9**3 - 1), (quad * quad, 9**2 - 1)]:
+        for idx in range(1, 8):
+            chi = make_character(f9, idx)
+            got = weil_applicability(chi, f, f3, cap=cap).applicable
+            assert got is not None and got is weil_applicability(chi, f, f3).applicable, (f, idx)
+
+
+def test_one_irreducible_factor_builds_no_field(monkeypatch):
+    f3, f9 = make_field(3, 1), make_field(3, 2)
+    quad = smallest_irreducibles(f9, 2)[0]
+    want = profile_by_enumeration(quad, f3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the root profile built a field")
+
+    monkeypatch.setattr(charsum, "make_field", refuse)
+    classes, shortcut, D = charsum._root_profile(quad, f3, DEFAULT_CAP)
+    assert sorted(classes) == want and shortcut is True and D == 2
 
 
 # -- r-free indicators ----------------------------------------------------------

@@ -319,6 +319,16 @@ def test_survey_far_above_the_cap_records_cap_rows_quickly():
     assert all(r["status"].startswith("cap: field size") for r in rows)
 
 
+def test_ck_check_wide_range_reaches_the_cap_at_once():
+    # prime powers are tested only as they are reached, so the first odd one,
+    # 2053, is refused by the cap before the rest of the range is searched
+    start = time.perf_counter()
+    code, out, err = run(["ck-check", "--q-min", "2040", "--q-max", str(10**11)])
+    assert time.perf_counter() - start < 2
+    assert code == cli.EXIT_CAP and out == ""
+    assert err.startswith("cap exceeded: field size 2053**2") and err.count("\n") == 1, err
+
+
 def test_survey_is_byte_identical_under_a_tiny_cache_budget(monkeypatch):
     argv = ["survey", "--q-min", "7", "--q-max", "60", "--h", "2", "--d", "3", "--format", "csv"]
     clear_field_cache()

@@ -17,7 +17,6 @@ from ffwitness import construct, field, nt, poly
 from ffwitness.charsum import characters_of_order, incomplete_char_sum
 from ffwitness.field import CapExceeded, get_embedding, is_dth_power, make_field
 from ffwitness.construct import (
-    alpha_density_scan,
     audit_bounds_rows,
     base_image_mask,
     build_set,
@@ -152,32 +151,11 @@ def test_coset_scans_reject_h_below_2_at_once():
     with pytest.raises(ValueError, match="h must be >= 2"):
         coset_power_gcds(8191, 1, 1)
     assert time.perf_counter() - start < 0.1
-    with pytest.raises(ValueError, match="h must be >= 2"):
-        alpha_density_scan(7, 1, 1, 2)
 
 
-def test_alpha_density_scan_q7():
-    assert alpha_density_scan(7, 2, 1, 2) == (42, 42, 42)
-
-
-@pytest.mark.parametrize("q,h,t,d", [(49, 2, 2, 2), (49, 2, 3, 2), (81, 2, 4, 2), (64, 2, 3, 3)])
-def test_alpha_density_scan_valid_count_matches_per_alpha_conditions(q, h, t, d):
-    # the scan decides the conditions once per order; here they are decided
-    # once per alpha
-    p, k = nt.is_prime_power(q)
-    big = make_field(p, k * h)
-    base_image = set(get_embedding(make_field(p, k), big).image_indices())
-    valid = 0
-    for a in range(1, big.Q):
-        if a not in base_image:
-            spec = construct.ConstructionSpec(p, k, h, d, t, None, a, big.mult_order_idx(a))
-            valid += all(theorem_conditions_check(spec))
-    assert alpha_density_scan(q, h, t, d)[0] == valid
-
-
-@pytest.mark.parametrize("fn", [base_image_mask, alpha_density_scan, primitive_weil_audit])
+@pytest.mark.parametrize("fn", [base_image_mask, primitive_weil_audit])
 def test_whole_field_scans_reject_non_prime_power(fn):
-    args = {alpha_density_scan: (6, 2, 1, 2), primitive_weil_audit: (6, 2, 1, 9)}.get(fn, (6, 2))
+    args = {primitive_weil_audit: (6, 2, 1, 9)}.get(fn, (6, 2))
     with pytest.raises(ValueError, match="not a prime power"):
         fn(*args)
 

@@ -60,7 +60,7 @@ def test_is_prime_power_frozen():
 
 
 def test_prime_powers_in_frozen():
-    assert nt.prime_powers_in(2, 32) == [
+    assert list(nt.prime_powers_in(2, 32)) == [
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
     ]
 
