@@ -10,12 +10,13 @@ exp/log tables, which every field builds at construction.
 
 The vector kernels (``*_vec``) index the numpy tables. The scalar ops
 (``*_idx``) read the same tables through memoryviews, which share their
-memory and return Python ints. Odd-p scalar addition uses Zech logarithms,
-Z[j] = log(1 + g**j) (Lidl-Niederreiter, Finite Fields, ch. 10):
-g**a + g**b = g**(a + Z[b - a]); subtraction adds the negation.
-The Zech table is built from the exp table the first time a scalar addition
-or a polynomial product or division (see ``poly``) needs it, so fields that
-only run vector kernels never hold one.
+memory and return Python ints. For odd p every addition is the Zech rule
+u + v = u * (1 + v/u) (Lidl-Niederreiter, Finite Fields, ch. 10), where
+1 + w adds 1 to the lowest base-p digit of w's index. The vector kernels
+apply it to exp entries, the scalar ops through Z[j] = log(1 + g**j), built
+the first time a scalar addition or a polynomial product or division (see
+``poly``) needs it, so fields that only run vector kernels never hold one.
+Subtraction adds the negation; for p = 2 addition is XOR.
 
 Descriptors are immutable after construction, apart from that lazily built
 Zech table, whose build is idempotent, and the derived data the cache keeps
@@ -72,7 +73,7 @@ class FieldDescriptor:
 
     __slots__ = (
         "p", "k", "Q", "modulus", "generator_index", "_key",
-        "_exp", "_log", "_expv", "_logv", "_zech", "_pp", "_pp_np", "_derived",
+        "_exp", "_log", "_expv", "_logv", "_zech", "_pp_np", "_derived",
     )
 
     def __init__(self, p: int, k: int, cap: int):
@@ -83,8 +84,7 @@ class FieldDescriptor:
         self.p = p
         self.k = k
         self.Q = Q
-        self._pp = tuple(p**i for i in range(k + 1))
-        self._pp_np = np.array(self._pp[:k], dtype=np.int64)
+        self._pp_np = p ** np.arange(k, dtype=np.int64)
         self.modulus = self._find_modulus()
         self._key = (p, k, self.modulus)
         self._exp = None
@@ -157,12 +157,11 @@ class FieldDescriptor:
         """Z[j] = log(1 + g**j) for 0 <= j < Q - 1, with -1 where
         1 + g**j = 0, built on first use."""
         if self._zech is None:
-            # the smallest signed type holding -Q .. Q - 1; built in blocks,
-            # as add_vec splits every entry into its k digits
+            # the smallest signed type holding -Q .. Q - 1; built in blocks
             zech = np.empty(self.Q - 1, dtype=np.min_scalar_type(-self.Q))
             for i in range(0, self.Q - 1, _SCATTER_BLOCK):
                 block = self._exp[i : i + _SCATTER_BLOCK]
-                zech[i : i + len(block)] = self.log_vec(self.add_vec(block, np.int64(1)))
+                zech[i : i + len(block)] = self._log[self._plus_one(block)]
             zech.flags.writeable = False
             self._zech = memoryview(zech)
             if self._derived is not None:  # charged to its cache entry
@@ -314,21 +313,25 @@ class FieldDescriptor:
     def all_indices(self) -> np.ndarray:
         return np.arange(self.Q, dtype=np.int64)
 
-    def digits_vec(self, v: np.ndarray) -> np.ndarray:
-        return (v[..., None] // self._pp_np) % self.p
-
-    def encode_vec(self, digits: np.ndarray) -> np.ndarray:
-        return digits @ self._pp_np
+    def _plus_one(self, w: np.ndarray) -> np.ndarray:
+        # w + 1 changes only the lowest base-p digit (for p = 2, w ^ 1)
+        return w + 1 - self.p * (w % self.p == self.p - 1)
 
     def add_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return u ^ v
-        return self.encode_vec((self.digits_vec(u) + self.digits_vec(v)) % self.p)
+        # u + v = u * (1 + v/u); the logs stay int32, as lu + lz < 2**31
+        n, log, exp = self.Q - 1, self._log, self._exp
+        lu = log[u]
+        lz = log[self._plus_one(exp[(log[v] - lu) % n])]
+        out = np.where(lz < 0, 0, exp[(lu + lz) % n])  # 1 + v/u = 0
+        out = np.where(u == 0, v, out)
+        return np.where(v == 0, u, out).astype(np.int64, copy=False)
 
     def sub_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return u ^ v
-        return self.encode_vec((self.digits_vec(u) - self.digits_vec(v)) % self.p)
+        return self.add_vec(u, self.mul_vec(v, self.p - 1))  # index p - 1 is -1
 
     def log_vec(self, v: np.ndarray) -> np.ndarray:
         """Discrete logs; positions holding zero come back as -1."""
@@ -578,15 +581,16 @@ class _Embedding:
     subfield modulus.
 
     The root is searched for among the p**m elements of the target's copy
-    of GF(p**m) only. The image of every element is computed at once with
-    the vector kernels and kept as an array in the table dtype, read through
-    a memoryview as the tables are, so its entries come out as Python ints.
-    A proper subfield has at most sqrt(p**k) elements (2**11 under the
-    default cap); one of 2**17 would need a target of 2**34, whose tables
-    cannot be built. A field's embedding into itself is _Identity, which
-    holds no map."""
+    of GF(p**m) only. The map is fixed by where the generator goes: g =
+    sum c_i x**i maps to G = sum c_i root**i, so the image is one gather
+    from the target's exp table at the multiples of log G, kept as an array
+    in the table dtype and read through a memoryview, so its entries come
+    out as Python ints. A proper subfield has at most sqrt(p**k) elements
+    (2**11 under the default cap); one of 2**17 would need a target of 2**34,
+    whose tables cannot be built. A field's embedding into itself is
+    _Identity, which holds no map."""
 
-    __slots__ = ("src", "target", "root_idx", "power_idx", "_image", "nbytes")
+    __slots__ = ("src", "target", "root_idx", "_image", "nbytes")
 
     def __init__(self, src: FieldDescriptor, target: FieldDescriptor):
         self.src = src
@@ -595,17 +599,11 @@ class _Embedding:
         if not roots:
             raise RuntimeError("subfield modulus has no root in the extension")
         self.root_idx = min(roots)
-        powers = [1]
-        for _ in range(src.k - 1):
-            powers.append(target.mul_idx(powers[-1], self.root_idx))
-        self.power_idx = tuple(powers)
-        # a = sum c_i x**i maps to sum c_i root**i; the digit c_i is the
-        # prime-field constant with index c_i in the target too
-        digits = src.digits_vec(src.all_indices())
-        acc = np.zeros(src.Q, dtype=np.int64)
-        for i, power in enumerate(self.power_idx):
-            acc = target.add_vec(acc, target.mul_vec(digits[:, i], np.int64(power)))
-        image = acc.astype(_TABLE_DTYPE)
+        # g's digits are prime-field constants, with the same indices in the target
+        gen = target.eval_poly_vec(src._decode(src.generator_index), np.array([self.root_idx]))
+        log_gen = target.log_idx(int(gen[0]))
+        image = np.zeros(src.Q, dtype=_TABLE_DTYPE)
+        image[src._exp] = target._exp[np.arange(src.Q - 1) * log_gen % (target.Q - 1)]
         image.flags.writeable = False
         self._image = memoryview(image)
         self.nbytes = image.nbytes
@@ -630,7 +628,6 @@ class _Identity(_Embedding):
         self.src = self.target = fd
         self.nbytes = 0
         self.root_idx = fd.p if fd.k > 1 else 0
-        self.power_idx = fd._pp[: fd.k]
 
     def map_idx(self, a: int) -> int:
         return a

@@ -50,6 +50,11 @@ def poly_to_idx(coeffs, p):
     return idx
 
 
+def digit_sum(a, b, p, k):
+    # a + b adds the coefficients, the base-p digits of the indices, mod p
+    return poly_to_idx([x + y for x, y in zip(idx_to_poly(a, p, k), idx_to_poly(b, p, k))], p)
+
+
 def naive_mul(a, b, p, modulus):
     # modulus given constant-first, monic, length k+1
     k = len(modulus) - 1
@@ -270,6 +275,8 @@ def test_kernels_widen_the_int32_tables(p, k):
     assert fd.pow_vec(units, 2 - n).tolist() == [fd.pow_idx(a, 2 - n) for a in units.tolist()]
     assert fd.mul_vec(u, v).tolist() == [fd.mul_idx(a, b) for a, b in zip(u.tolist(), v.tolist())]
     assert fd.log_vec(u).tolist() == [fd.log_idx(a) if a else -1 for a in u.tolist()]
+    assert fd.add_vec(u, v).tolist() == [fd.add_idx(a, b) for a, b in zip(u.tolist(), v.tolist())]
+    assert fd.sub_vec(u, v).tolist() == [fd.sub_idx(a, b) for a, b in zip(u.tolist(), v.tolist())]
     kernels = [
         fd.all_indices(), fd.add_vec(u, v), fd.sub_vec(u, v), fd.mul_vec(u, v),
         fd.pow_vec(u, n - 1), fd.log_vec(u), fd.eval_poly_vec([5, n, 1], u),
@@ -304,15 +311,11 @@ def test_scalar_ops_match_naive_exhaustive(p, k):
     fd = make_field(p, k)
     Q = fd.Q
     digits, mod = [idx_to_poly(a, p, k) for a in range(Q)], list(fd.modulus)
-
-    def digit_sum(a, b):
-        return poly_to_idx([x + y for x, y in zip(digits[a], digits[b])], p)
-
     for a in range(Q):
         for b in range(Q):
-            assert fd.add_idx(a, b) == digit_sum(a, b)
+            assert fd.add_idx(a, b) == digit_sum(a, b, p, k)
             # a - b is the one x with x + b = a
-            assert digit_sum(fd.sub_idx(a, b), b) == a
+            assert digit_sum(fd.sub_idx(a, b), b, p, k) == a
             assert fd.mul_idx(a, b) == poly_to_idx(naive_mul(digits[a], digits[b], p, mod), p)
 
 
@@ -332,18 +335,23 @@ def test_cap_enforced():
     clear_field_cache()
 
 
-def test_vector_ops_match_scalar():
-    fd = make_field(5, 2)
-    idxs = np.arange(fd.Q)
-    b = 7
-    add = fd.add_vec(idxs, np.full_like(idxs, b))
-    mul = fd.mul_vec(idxs, np.full_like(idxs, b))
-    for a in range(fd.Q):
-        assert add[a] == fd.add_idx(a, b)
-        assert mul[a] == fd.mul_idx(a, b)
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 2), (2, 4)])
+def test_vector_ops_match_scalar(p, k):
+    # every pair (a, b), zeros and b = -a included, with b as a full array
+    # and as a 0-d one
+    fd = make_field(p, k)
+    idxs = fd.all_indices()
+    for b in range(fd.Q):
+        sums = [digit_sum(a, b, p, k) for a in range(fd.Q)]
+        for v in (np.full_like(idxs, b), np.array(b, dtype=np.int64)):
+            add, sub = fd.add_vec(idxs, v), fd.sub_vec(idxs, v)
+            assert add.dtype == sub.dtype == np.int64
+            assert add.tolist() == sums
+            # a - b is the one x with x + b = a
+            assert [digit_sum(x, b, p, k) for x in sub.tolist()] == idxs.tolist()
+        assert fd.mul_vec(idxs, np.int64(b)).tolist() == [fd.mul_idx(a, b) for a in range(fd.Q)]
     pw = fd.pow_vec(idxs, 3)
-    for a in range(fd.Q):
-        assert pw[a] == fd.pow_idx(a, 3)
+    assert pw.tolist() == [fd.pow_idx(a, 3) for a in range(fd.Q)]
 
 
 def test_eval_poly_vec_horner():
@@ -431,7 +439,7 @@ def test_self_embedding_is_the_eager_identity(p, k):
     fd = make_field(p, k)
     emb, eager = get_embedding(fd, fd), field._Embedding(fd, fd)
     assert tuple(emb.image_indices()) == tuple(eager.image_indices()) == tuple(range(fd.Q))
-    assert (emb.root_idx, emb.power_idx) == (eager.root_idx, eager.power_idx)
+    assert emb.root_idx == eager.root_idx
     for a in range(fd.Q):
         assert emb.map_idx(a) == eager.map_idx(a)
 

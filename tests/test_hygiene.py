@@ -138,3 +138,31 @@ def test_a_second_omega_call_site_is_found():
         "TABLE = charsum._omega(None)\n"
     )
     assert call_sites(source, "_omega") == ["char_sums", "Character.__call__", "<module>"]
+
+
+def test_plus_one_is_called_only_by_zech_table_and_add_vec():
+    # the one odd-p addition rule: the Zech table and the vector kernel
+    sites = {
+        p.name: call_sites(p.read_text(encoding="utf-8"), "_plus_one")
+        for p in Path(ffwitness.__file__).parent.glob("*.py")
+    }
+    assert {name: s for name, s in sites.items() if s} == {
+        "field.py": ["FieldDescriptor.zech_table", "FieldDescriptor.add_vec"],
+    }
+
+
+def test_a_third_plus_one_call_site_is_found():
+    source = (
+        "class FieldDescriptor:\n"
+        "    def _plus_one(self, w):\n"
+        "        return w + 1\n"
+        "    def zech_table(self):\n"
+        "        return self._log[self._plus_one(self._exp)]\n"
+        "    def add_vec(self, u, v):\n"
+        "        return self._plus_one(u)\n"
+        "    def sub_vec(self, u, v):\n"
+        "        return self._plus_one(u - v)\n"
+    )
+    assert call_sites(source, "_plus_one") == [
+        "FieldDescriptor.zech_table", "FieldDescriptor.add_vec", "FieldDescriptor.sub_vec",
+    ]
