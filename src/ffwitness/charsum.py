@@ -7,8 +7,13 @@ of characters over the discrete logs of some field values in one gather.
 
 The applicability test follows the norm criterion: the bound covers the sum
 of chi over f(subfield) when for some root zeta of f, with multiplicity t,
-chi**t is nontrivial on the norm image (down to GF(Q)) of GF(q)(zeta)*. The
-roots are grouped by the distinct-degree factorization of the squarefree
+chi**t is nontrivial on the norm image (down to GF(Q)) of GF(q)(zeta)*, of
+order o, that is when o / gcd(t, o) does not divide chi's index. So chi is
+covered iff L, the lcm of o / gcd(t, o) over the roots, does not divide its
+index; L divides the index of a character of order d iff it divides
+(Q - 1)/d, so primitive_weil_audit asks once per order.
+
+The roots are grouped by the distinct-degree factorization of the squarefree
 part of f, the one poly.is_irreducible runs. Level i holds the roots of
 degree exactly i over GF(Q) (level 1 those in GF(Q) itself). A level that is
 one irreducible factor P is decided in closed form at every size: its i
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,7 +107,7 @@ def characters_of_order(fd: FieldDescriptor, d: int) -> list[Character]:
     if d < 1 or n % d != 0:
         raise ValueError(f"order {d} does not divide Q-1 = {n}")
     step = n // d
-    return [make_character(fd, (step * j) % n) for j in range(1, d + 1) if math.gcd(j, d) == 1]
+    return [Character(fd, (step * j) % n) for j in range(1, d + 1) if math.gcd(j, d) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +132,13 @@ class CharSumResult:
 
     @property
     def ok(self) -> bool | None:
-        """Whether |value| is within the bound (to 1e-6); None unless the
-        bound is known to apply."""
-        if self.applicable is not True:
-            return None
-        return abs(self.value) <= self.bound + 1e-6
+        """Whether |value| is within the bound; None unless the bound applies."""
+        return bool(_within_bound(self.value, self.bound)) if self.applicable is True else None
+
+
+def _within_bound(values, bound: float):
+    # the one tolerance rule: |sum| within its Weil bound, to 1e-6
+    return np.abs(values) <= bound + 1e-6
 
 
 def _check_domain(chi: Character, f: Polynomial, base: FieldDescriptor) -> int:
@@ -228,28 +235,15 @@ def weil_applicability(
     bound = (m * D - 1) * math.sqrt(base.Q)
     if chi.is_trivial:
         return WeilApplicability(False, m, D, bound, False)
-    undecided = False
-    for mult, image_order in classes:
-        if image_order is None:
-            undecided = True
-        elif (mult * chi.index) % image_order != 0:
-            return WeilApplicability(True, m, D, bound, shortcut_used)
-    return WeilApplicability(None if undecided else False, m, D, bound, shortcut_used)
+    L = math.lcm(*(o // math.gcd(mult, o) for mult, o in classes if o is not None))
+    applicable = True if chi.index % L else (None if (None, None) in classes else False)
+    return WeilApplicability(applicable, m, D, bound, shortcut_used)
 
 
-def incomplete_char_sums(
-    groups: Iterable[list[Character]], f: Polynomial, base: FieldDescriptor, *, cap: int | None = None
-) -> Iterator[CharSumResult]:
-    """incomplete_char_sum for each character of each group, in order. f is
-    evaluated over the base field once, and each group is one char_sums
-    gather, taken only when the results reach that group."""
+def _value_logs(f: Polynomial, base: FieldDescriptor) -> np.ndarray:
     B = f.field
     points = np.array(get_embedding(base, B).image_indices(), dtype=np.int64)
-    logs = B.log_vec(B.eval_poly_vec(f.coeffs, points))
-    for chis in groups:
-        for chi, value in zip(chis, char_sums(B, logs, [chi.index for chi in chis])):
-            w = weil_applicability(chi, f, base, cap=cap)
-            yield CharSumResult(complex(value), base.Q, w.bound, w.applicable)
+    return B.log_vec(B.eval_poly_vec(f.coeffs, points))
 
 
 def incomplete_char_sum(
@@ -257,7 +251,30 @@ def incomplete_char_sum(
 ) -> CharSumResult:
     """Sum of chi(f(a)) over a in the embedded base field, with the bound and
     its applicability attached."""
-    return next(incomplete_char_sums([[chi]], f, base, cap=cap))
+    value = char_sums(chi.field, _value_logs(f, base), [chi.index])[0]
+    w = weil_applicability(chi, f, base, cap=cap)
+    return CharSumResult(complex(value), base.Q, w.bound, w.applicable)
+
+
+def primitive_weil_audit(q: int, n: int, t: int, alpha_index: int, *, cap: int | None = None) -> bool | None:
+    """Whether every sum of chi(alpha - x**t) over GF(q), chi nontrivial of
+    squarefree order dividing q**n - 1, is covered by its bound and within
+    it: False if some sum exceeds it, else None if some chi is not covered."""
+    base, big = make_field_pair(q, n, cap=cap)
+    f = Polynomial.binomial(big, t, FieldElement(big, alpha_index)).scale(big.neg_idx(1))  # alpha - x**t
+    rad = math.prod(nt.factorize(big.Q - 1).prime_divisors())
+    verdict, covered = True, []
+    for d in nt.factorize(rad).divisors()[1:]:  # the squarefree orders d > 1
+        chis = characters_of_order(big, d)
+        w = weil_applicability(chis[0], f, base, cap=cap)  # the verdict of every chi of order d
+        if w.applicable is True:
+            covered += [chi.index for chi in chis]
+        else:
+            verdict = None
+    # one bound, (m*D - 1)*sqrt(q), for every chi
+    if covered and not _within_bound(char_sums(big, _value_logs(f, base), covered), w.bound).all():
+        return False
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nt
-from .charsum import characters_of_order, incomplete_char_sums
 from .field import (
     CapExceeded,
     FieldDescriptor,
@@ -371,22 +370,6 @@ def primitive_set_search(
         raise ValueError("t must be >= 1")
     base, big = make_field_pair(q, n, cap=cap)
     return _report(base, big, n, None, t, None, alpha_index, "primitive")
-
-
-def primitive_weil_audit(
-    q: int, n: int, t: int, alpha_index: int, *, cap: int | None = None
-) -> bool | None:
-    """Audit every character involved in the primitive lower bound: for each
-    nontrivial chi of squarefree order dividing q**n - 1, the sum of
-    chi(alpha - x**t) over GF(q) must be applicable and within its bound.
-    Returns True / False / None (None when some applicability is unknown)."""
-    base, big = make_field_pair(q, n, cap=cap)
-    f = Polynomial.binomial(big, t, FieldElement(big, alpha_index)).scale(big.neg_idx(1))
-    # f = alpha - x**t
-    orders = [dd for dd in nt.factorize(big.Q - 1).divisors() if dd > 1 and nt.moebius(dd)]
-    groups = (characters_of_order(big, dd) for dd in orders)
-    oks = {res.ok for res in incomplete_char_sums(groups, f, base, cap=cap)}
-    return False if False in oks else None if None in oks else True
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ exp/log tables, which every field builds at construction.
 
 The vector kernels (``*_vec``) index the numpy tables. The scalar ops
 (``*_idx``) read the same tables through memoryviews, which share their
-memory and return Python ints. For odd p every addition is the Zech rule
+memory and return Python ints; they reject element indices outside [0, Q),
+which the tables would wrap. For odd p every addition is the Zech rule
 u + v = u * (1 + v/u) (Lidl-Niederreiter, Finite Fields, ch. 10), where
 1 + w adds 1 to the lowest base-p digit of w's index. The vector kernels
 apply it to exp entries, the scalar ops through Z[j] = log(1 + g**j), built
@@ -249,13 +250,19 @@ class FieldDescriptor:
 
     def coeffs_of(self, idx: int) -> tuple[int, ...]:
         """Coefficient vector (constant first) of the element with this index."""
-        if not 0 <= idx < self.Q:
-            raise ValueError(f"index {idx} out of range for GF({self.Q})")
+        self._check_idx(idx)
         return self._decode(idx)
 
     # -- scalar ops in index space ------------------------------------------
 
+    def _check_idx(self, *indices: int) -> None:
+        # below 0 an index would wrap in the tables, and XOR (p = 2) checks none
+        for a in indices:
+            if not 0 <= a < self.Q:
+                raise ValueError(f"index {a} out of range for GF({self.Q})")
+
     def add_idx(self, a: int, b: int) -> int:
+        self._check_idx(a, b)
         if self.p == 2:
             return a ^ b
         if not (a and b):
@@ -268,6 +275,7 @@ class FieldDescriptor:
         return self._expv[(la + z) % n] if z >= 0 else 0
 
     def neg_idx(self, a: int) -> int:
+        self._check_idx(a)
         if self.p == 2 or not a:
             return a
         # -1 = g**((Q-1)/2)
@@ -278,11 +286,13 @@ class FieldDescriptor:
         return self.add_idx(a, self.neg_idx(b))
 
     def mul_idx(self, a: int, b: int) -> int:
+        self._check_idx(a, b)
         if a == 0 or b == 0:
             return 0
         return self._expv[(self._logv[a] + self._logv[b]) % (self.Q - 1)]
 
     def pow_idx(self, a: int, e: int) -> int:
+        self._check_idx(a)
         if a == 0:
             if e > 0:
                 return 0
@@ -293,16 +303,19 @@ class FieldDescriptor:
         return self._expv[(self._logv[a] * e) % (self.Q - 1)]
 
     def inv_idx(self, a: int) -> int:
+        self._check_idx(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self._expv[-self._logv[a]]  # a negative index wraps mod Q - 1
 
     def log_idx(self, a: int) -> int:
+        self._check_idx(a)
         if a == 0:
             raise ValueError("discrete log of zero")
         return self._logv[a]
 
     def mult_order_idx(self, a: int) -> int:
+        self._check_idx(a)
         if a == 0:
             raise ValueError("multiplicative order of zero")
         Qm1 = self.Q - 1
@@ -331,7 +344,9 @@ class FieldDescriptor:
     def sub_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return u ^ v
-        return self.add_vec(u, self.mul_vec(v, self.p - 1))  # index p - 1 is -1
+        # -v = g**(log v + (Q-1)/2), as in neg_idx, with 0 kept at 0
+        n = self.Q - 1
+        return self.add_vec(u, np.where(v == 0, 0, self._exp[(self._log[v] + n // 2) % n]))
 
     def log_vec(self, v: np.ndarray) -> np.ndarray:
         """Discrete logs; positions holding zero come back as -1."""
@@ -383,8 +398,7 @@ class FieldDescriptor:
             if x.field._key != self._key:
                 raise ValueError("element belongs to a different field")
             return x
-        if not 0 <= x < self.Q:
-            raise ValueError(f"index {x} out of range for GF({self.Q})")
+        self._check_idx(x)
         return FieldElement(self, x)
 
     def to_json(self) -> dict:

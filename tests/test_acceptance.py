@@ -284,7 +284,7 @@ def test_criterion_08_primitive_counts_vs_lower_bound():
             counts["tau_holds"] += 1
             if rep.n_actual < math.ceil(rep.n_lower):
                 problems.append((q, t, a, "count below guaranteed bound"))
-        if audit and construct.primitive_weil_audit(q, 2, t, a) is True:
+        if audit and charsum.primitive_weil_audit(q, 2, t, a) is True:
             counts["audits_true"] += 1
             if rep.n_lower > rep.n_actual + 1e-9:
                 problems.append((q, t, a, "bound exceeds exact count"))

@@ -237,12 +237,10 @@ def test_root_profile_two_irreducible_quadratics_over_f9():
 PROFILE_CELLS = [(2, 1, 2, 6), (2, 1, 3, 6), (3, 1, 1, 6), (3, 1, 2, 5), (5, 1, 1, 6), (2, 2, 1, 6)]
 
 
-@pytest.mark.parametrize("p,k,m,max_deg", PROFILE_CELLS)
-def test_root_profile_matches_enumeration_degrees_4_to_6(p, k, m, max_deg):
-    base, B = make_field(p, k), make_field(p, k * m)
-    rng = random.Random(p * 100 + k * 10 + m)
-    # products of irreducibles of degree 2 and 3; two of one degree share a
-    # distinct-degree component
+def profile_polys(B, rng, max_deg):
+    """Products of irreducibles of degree 2 and 3 over B (two of one degree
+    share a distinct-degree component), then 12 random polynomials of
+    degree 4 to max_deg drawn from rng."""
     q2, q3 = smallest_irreducibles(B, 2), smallest_irreducibles(B, 3)
     polys = [q2[0] * q2[1], q2[0] * q3[0]]
     if max_deg >= 6:
@@ -257,7 +255,14 @@ def test_root_profile_matches_enumeration_degrees_4_to_6(p, k, m, max_deg):
                 d = rng.randint(1, min(3, deg - f.degree()))
                 f = f * Polynomial(B, [rng.randrange(B.Q) for _ in range(d)] + [1])
         polys.append(f)
-    for f in polys:
+    return polys
+
+
+@pytest.mark.parametrize("p,k,m,max_deg", PROFILE_CELLS)
+def test_root_profile_matches_enumeration_degrees_4_to_6(p, k, m, max_deg):
+    base, B = make_field(p, k), make_field(p, k * m)
+    rng = random.Random(p * 100 + k * 10 + m)
+    for f in profile_polys(B, rng, max_deg):
         classes, shortcut, D = charsum._root_profile(f, base, DEFAULT_CAP)
         want = profile_by_enumeration(f, base)
         # the shortcut marks a level decided from its one irreducible factor
@@ -270,17 +275,14 @@ def test_root_profile_matches_enumeration_degrees_4_to_6(p, k, m, max_deg):
             assert weil_applicability(chi, f, base).applicable is verdict_from_classes(want, chi), (f, idx)
 
 
-@pytest.mark.parametrize("p,k,m", [(3, 1, 2), (2, 1, 2), (2, 1, 3), (5, 1, 1)])
-def test_beyond_cap_shortcut_agrees_with_default_cap(p, k, m):
-    # with the cap below GF(B.Q**2) or GF(B.Q**3), levels of degree >= 2 or
-    # >= 3 are beyond it: a level of one irreducible factor is still decided
-    # in closed form, a level of several factors of one degree is undecided
-    # (None), and a decided verdict must equal the one at the default cap
-    base, B = make_field(p, k), make_field(p, k * m)
-    rng = random.Random(7 * p + m)
-    # two irreducible quadratics: their product is one level of two factors,
-    # undecided beyond the cap; the square of one is a single factor of
-    # multiplicity 2, decided at every cap
+BEYOND_CAP_CELLS = [(3, 1, 2), (2, 1, 2), (2, 1, 3), (5, 1, 1)]
+
+
+def beyond_cap_polys(B, rng):
+    """Two irreducible quadratics over B: their product is one level of two
+    factors, undecided beyond the cap; the square of one is a single factor
+    of multiplicity 2, decided at every cap. Then 40 random polynomials of
+    degree 2 to 5 drawn from rng."""
     quad = smallest_irreducibles(B, 2)
     polys = [quad[0] * quad[1], quad[0] * quad[0]]
     for _ in range(40):
@@ -293,8 +295,18 @@ def test_beyond_cap_shortcut_agrees_with_default_cap(p, k, m):
                 d = rng.randint(1, min(2, deg - f.degree()))
                 f = f * Polynomial(B, [rng.randrange(B.Q) for _ in range(d)] + [1])
         polys.append(f)
+    return polys
+
+
+@pytest.mark.parametrize("p,k,m", BEYOND_CAP_CELLS)
+def test_beyond_cap_shortcut_agrees_with_default_cap(p, k, m):
+    # with the cap below GF(B.Q**2) or GF(B.Q**3), levels of degree >= 2 or
+    # >= 3 are beyond it: a level of one irreducible factor is still decided
+    # in closed form, a level of several factors of one degree is undecided
+    # (None), and a decided verdict must equal the one at the default cap
+    base, B = make_field(p, k), make_field(p, k * m)
     seen = {"shortcut_true": 0, "undecided": 0}
-    for f in polys:
+    for f in beyond_cap_polys(B, random.Random(7 * p + m)):
         full, _, _ = charsum._root_profile(f, base, DEFAULT_CAP)
         for cap in (B.Q**2 - 1, B.Q**3 - 1):
             classes, _, _ = charsum._root_profile(f, base, cap)
@@ -313,6 +325,44 @@ def test_beyond_cap_shortcut_agrees_with_default_cap(p, k, m):
                     if got.applicable and got.shortcut_used:
                         seen["shortcut_true"] += 1
     assert seen["shortcut_true"] > 0 and seen["undecided"] > 0, seen
+
+
+def verdict_with_undecided(classes, chi):
+    # the per-class rule: True when some decided class covers chi, else None
+    # when some class is undecided, else False
+    decided = [c for c in classes if c != (None, None)]
+    if verdict_from_classes(decided, chi):
+        return True
+    return None if len(decided) < len(classes) else False
+
+
+@pytest.mark.parametrize("p,k,m,max_deg", PROFILE_CELLS)
+def test_index_rule_gives_the_class_verdict_at_every_index(p, k, m, max_deg):
+    # weil_applicability decides chi by whether the lcm L of o / gcd(mult, o)
+    # divides chi's index; over the polynomials of the two tests above, at
+    # the default cap and at the lowered ones, every index must get the
+    # verdict of the per-class rule, and all characters of one order one
+    # verdict
+    base, B = make_field(p, k), make_field(p, k * m)
+    n = B.Q - 1
+    cells = [(f, DEFAULT_CAP) for f in profile_polys(B, random.Random(p * 100 + k * 10 + m), max_deg)]
+    if (p, k, m) in BEYOND_CAP_CELLS:
+        polys = beyond_cap_polys(B, random.Random(7 * p + m))
+        cells += [(f, cap) for f in polys for cap in (B.Q**2 - 1, B.Q**3 - 1)]
+    seen = {True: 0, False: 0, None: 0}
+    for f, cap in cells:
+        classes, _, _ = charsum._root_profile(f, base, cap)
+        got = {idx: weil_applicability(Character(B, idx), f, base, cap=cap).applicable for idx in range(n)}
+        assert got[0] is False
+        for idx in range(1, n):
+            assert got[idx] is verdict_with_undecided(classes, Character(B, idx)), (f, cap, idx)
+            seen[got[idx]] += 1
+        for d in nt.factorize(n).divisors():
+            assert len({got[chi.index] for chi in characters_of_order(B, d)}) == 1, (f, cap, d)
+    # summed over GF(3) or GF(4) itself, every verdict here is True
+    assert seen[True] > 0 and (seen[False] > 0 or B.Q < 5), seen
+    if (p, k, m) in BEYOND_CAP_CELLS:
+        assert seen[None] > 0, seen
 
 
 def test_single_factor_levels_are_decided_beyond_the_cap():

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from ffwitness import construct, field, nt, poly
-from ffwitness.charsum import characters_of_order, incomplete_char_sum
+from ffwitness import charsum, construct, field, nt, poly
+from ffwitness.charsum import characters_of_order, incomplete_char_sum, primitive_weil_audit
 from ffwitness.field import CapExceeded, get_embedding, is_dth_power, make_field
 from ffwitness.construct import (
     audit_bounds_rows,
@@ -28,7 +28,6 @@ from ffwitness.construct import (
     mn_conjecture_search,
     primitive_lower_bound,
     primitive_set_search,
-    primitive_weil_audit,
     survey_rows,
     theorem_conditions_check,
     verify_report,
@@ -326,6 +325,28 @@ def test_primitive_count_meets_bound_where_tau_holds(q):
 def test_primitive_weil_audit_q7():
     rep = primitive_set_search(7, 2, 1)
     assert primitive_weil_audit(7, 2, 1, rep.spec.alpha_index) is True
+
+
+@pytest.mark.parametrize("q", [7, 9, 13])
+def test_primitive_weil_audit_checks_every_sum_of_a_covered_order(q, monkeypatch):
+    # the audit asks weil_applicability once per order; a sum past the bound
+    # at the last character of a covered order, not the one it asked about,
+    # must still make it False
+    base, big = field.make_field_pair(q, 2)
+    a = primitive_set_search(q, 2, 1).spec.alpha_index
+    assert primitive_weil_audit(q, 2, 1, a) is True
+    # the largest squarefree order, the radical of Q - 1
+    chis = characters_of_order(big, math.prod(nt.factorize(big.Q - 1).prime_divisors()))
+    f = poly.Polynomial.binomial(big, 1, big.element(a)).scale(big.neg_idx(1))
+    assert len(chis) > 1 and incomplete_char_sum(chis[-1], f, base).applicable is True
+    real = charsum.char_sums
+
+    def inflated(fd, logs, indices):
+        values = real(fd, logs, indices)
+        return np.where(np.asarray(indices) == chis[-1].index, values + 10 * q, values)
+
+    monkeypatch.setattr(charsum, "char_sums", inflated)
+    assert primitive_weil_audit(q, 2, 1, a) is False
 
 
 @pytest.mark.parametrize("q", [7, 9])

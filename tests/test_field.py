@@ -362,6 +362,23 @@ def test_eval_poly_vec_horner():
         assert vals[a] == (2 + a * a) % 7
 
 
+def test_scalar_ops_reject_indices_outside_the_field():
+    # a negative index would wrap in the tables (on GF(9) mul_idx(-1, 2),
+    # add_idx(-1, 1) and log_idx(-2) gave 4, 6 and 3) and on GF(8) the XOR
+    # add_idx(8, 1) gave 9; every element argument must lie in [0, Q)
+    for fd in (make_field(3, 2), make_field(2, 3)):
+        for bad in (-1, -2, fd.Q, fd.Q + 1):
+            calls = [("add_idx", bad, 1), ("add_idx", 1, bad), ("sub_idx", bad, 1), ("sub_idx", 1, bad),
+                     ("neg_idx", bad), ("mul_idx", bad, 2), ("mul_idx", 2, bad), ("pow_idx", bad, 2),
+                     ("inv_idx", bad), ("log_idx", bad), ("mult_order_idx", bad)]
+            for name, *args in calls:
+                with pytest.raises(ValueError, match="out of range"):
+                    getattr(fd, name)(*args)
+    # exponents are not element indices and still reduce mod Q - 1
+    f9 = make_field(3, 2)
+    assert f9.pow_idx(2, -1) == f9.inv_idx(2) and f9.pow_idx(2, 8 + 3) == f9.pow_idx(2, 3)
+
+
 # -- elements -----------------------------------------------------------------
 
 def test_element_dunders():

@@ -166,3 +166,31 @@ def test_a_third_plus_one_call_site_is_found():
     assert call_sites(source, "_plus_one") == [
         "FieldDescriptor.zech_table", "FieldDescriptor.add_vec", "FieldDescriptor.sub_vec",
     ]
+
+
+def test_within_bound_is_called_only_by_ok_and_the_primitive_audit():
+    # the one tolerance rule for a character sum against its Weil bound
+    sites = {
+        p.name: call_sites(p.read_text(encoding="utf-8"), "_within_bound")
+        for p in Path(ffwitness.__file__).parent.glob("*.py")
+    }
+    assert {name: s for name, s in sites.items() if s} == {
+        "charsum.py": ["CharSumResult.ok", "primitive_weil_audit"],
+    }
+
+
+def test_a_third_within_bound_call_site_is_found():
+    source = (
+        "def _within_bound(values, bound):\n"
+        "    return abs(values) <= bound + 1e-6\n"
+        "class CharSumResult:\n"
+        "    def ok(self):\n"
+        "        return _within_bound(self.value, self.bound)\n"
+        "def primitive_weil_audit(sums, bound):\n"
+        "    return _within_bound(sums, bound).all()\n"
+        "def incomplete_char_sum(value, bound):\n"
+        "    return charsum._within_bound(value, bound)\n"
+    )
+    assert call_sites(source, "_within_bound") == [
+        "CharSumResult.ok", "primitive_weil_audit", "incomplete_char_sum",
+    ]
