@@ -100,14 +100,20 @@ def make_character(fd: FieldDescriptor, index: int) -> Character:
     return Character(fd, index)
 
 
-def characters_of_order(fd: FieldDescriptor, d: int) -> list[Character]:
-    """All characters of exact order d (d | Q-1), in ascending index order of
-    the defining exponent j with gcd(j, d) == 1."""
+def _indices_of_order(fd: FieldDescriptor, d: int) -> list[int]:
+    """The indices (Q-1)/d * j mod Q-1 of the characters of exact order d
+    (d | Q-1), in ascending order of the exponent j with gcd(j, d) == 1."""
     n = fd.Q - 1
     if d < 1 or n % d != 0:
         raise ValueError(f"order {d} does not divide Q-1 = {n}")
-    step = n // d
-    return [Character(fd, (step * j) % n) for j in range(1, d + 1) if math.gcd(j, d) == 1]
+    j = np.arange(1, d + 1, dtype=np.int64)
+    return ((j[np.gcd(j, d) == 1] * (n // d)) % n).tolist()
+
+
+def characters_of_order(fd: FieldDescriptor, d: int) -> list[Character]:
+    """All characters of exact order d (d | Q-1), in ascending index order of
+    the defining exponent j with gcd(j, d) == 1."""
+    return [Character(fd, j) for j in _indices_of_order(fd, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +271,11 @@ def primitive_weil_audit(q: int, n: int, t: int, alpha_index: int, *, cap: int |
     rad = math.prod(nt.factorize(big.Q - 1).prime_divisors())
     verdict, covered = True, []
     for d in nt.factorize(rad).divisors()[1:]:  # the squarefree orders d > 1
-        chis = characters_of_order(big, d)
-        w = weil_applicability(chis[0], f, base, cap=cap)  # the verdict of every chi of order d
+        indices = _indices_of_order(big, d)
+        # the verdict of every chi of order d
+        w = weil_applicability(Character(big, indices[0]), f, base, cap=cap)
         if w.applicable is True:
-            covered += [chi.index for chi in chis]
+            covered += indices
         else:
             verdict = None
     # one bound, (m*D - 1)*sqrt(q), for every chi
@@ -309,7 +316,7 @@ def r_free_indicator_sum(alpha: FieldElement, r: int) -> complex:
         for d in nt.factorize(r).divisors():
             w = nt.moebius(d) / nt.phi(d)
             if w:
-                rows += [(w, chi.index) for chi in characters_of_order(fd, d)]
+                rows += [(w, j) for j in _indices_of_order(fd, d)]
         return np.array(rows, dtype=[("weight", np.float64), ("index", np.int64)])
 
     chis = cached((fd,), ("r-free", r), build)

@@ -186,7 +186,17 @@ def _checks_out(key: str, results: list[dict], args) -> int:
 
 def _cmd_ck_check(args) -> int:
     cap = _effective_cap(args)
-    qs = (q for q in nt.prime_powers_in(args.q_min, args.q_max) if q % 2 == 1)
+    lo, hi = args.q_min, args.q_max
+    # every row builds GF(q**2), so the largest odd prime power of the range,
+    # found scanning down from hi (from below 2**63, where the prime test
+    # works), decides the cap before any row is computed. A range holding
+    # q = 3 or 5 is left to its first row, which refuses it as bad input.
+    scan = range(min(hi, nt.FACTOR_CAP - 1), lo - 1, -1)
+    top = next((q for q in scan if q % 2 and nt.is_prime_power(q)), None)
+    if top is not None and top * top > cap and not any(lo <= q <= hi for q in (3, 5)):
+        p, k = nt.is_prime_power(top)
+        raise CapExceeded(f"field size {p}**{2 * k} exceeds cap {cap}")
+    qs = (q for q in nt.prime_powers_in(lo, hi) if q % 2 == 1)
     return _checks_out("q", [{"q": q, "ok": coulter_kosick_check(q, cap=cap)} for q in qs], args)
 
 
@@ -256,7 +266,13 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--q-list", required=True, help="comma-separated base prime powers")
     w.add_argument("--m", type=int, default=2)
     w.add_argument("--count", type=int, default=200, help="applicable instances per q")
-    w.add_argument("--max-degree", type=int, default=3)
+    w.add_argument(
+        "--max-degree",
+        type=int,
+        default=3,
+        help="largest degree of the sampled f (default 3); the work grows quickly with it: "
+        "--q-list 101 --m 2 --count 5 --max-degree 400 runs past 15 s",
+    )
     w.add_argument("--seed", type=int, default=0, help="RNG seed for the sampled instances")
 
     b = command(

@@ -8,6 +8,13 @@ matrix of the exp table run on polynomials over GF(p). An element
 is stored as its index sum(c_i * p**i); arithmetic goes through discrete
 exp/log tables, which every field builds at construction.
 
+The generator test checks the norm a**((Q-1)/(p-1)) in GF(p), the product
+of a's k Frobenius conjugates, before any powmod: it decides every prime of
+p - 1 at once, so only the other primes of Q - 1 take a powmod. For odd p
+the exp table is built from column-major k x B digit blocks, each M**B
+times the last, in int32 while k * (p-1)**2 < 2**31 (every k >= 2 field
+under the cap) and in int64 otherwise; for p = 2 by doubling with XORs.
+
 The vector kernels (``*_vec``) index the numpy tables. The scalar ops
 (``*_idx``) read the same tables through memoryviews, which share their
 memory and return Python ints; they reject element indices outside [0, Q),
@@ -74,7 +81,7 @@ class FieldDescriptor:
 
     __slots__ = (
         "p", "k", "Q", "modulus", "generator_index", "_key",
-        "_exp", "_log", "_expv", "_logv", "_zech", "_pp_np", "_derived",
+        "_exp", "_log", "_expv", "_logv", "_zech", "_derived",
     )
 
     def __init__(self, p: int, k: int, cap: int):
@@ -85,7 +92,6 @@ class FieldDescriptor:
         self.p = p
         self.k = k
         self.Q = Q
-        self._pp_np = p ** np.arange(k, dtype=np.int64)
         self.modulus = self._find_modulus()
         self._key = (p, k, self.modulus)
         self._exp = None
@@ -113,22 +119,56 @@ class FieldDescriptor:
         raise RuntimeError(f"no irreducible of degree {k} over GF({p})")  # unreachable
 
     def _find_generator(self) -> int:
-        if self.Q == 2:
+        """The least index a with a**((Q-1)/r) != 1 for every prime r of Q - 1.
+
+        For k >= 2 and r | p - 1, a**((Q-1)/r) = N(a)**((p-1)/r), with the
+        norm N(a) = a**((Q-1)/(p-1)) in GF(p) (Lidl-Niederreiter, Finite
+        Fields, ch. 2), so N(a) must generate GF(p)*. For p = 2 there is no
+        such prime and no norm is taken."""
+        p, Q = self.p, self.Q
+        if Q == 2:
             return 1
-        primes = nt.factorize(self.Q - 1).prime_divisors()
-        cofactors = [(self.Q - 1) // r for r in primes]
+        primes = nt.factorize(Q - 1).prime_divisors()
         if self.k == 1:
-            p = self.p
+            cofactors = [(Q - 1) // r for r in primes]
             return next(a for a in range(2, p) if all(pow(a, c, p) != 1 for c in cofactors))
-        # for k >= 2 the indices below p are the prime field, whose orders
-        # divide p - 1 < Q - 1, so none of them generates
-        poly, fp = _prime_field_ring(self.p)
+        poly, fp = _prime_field_ring(p)
         f = poly.Polynomial(fp, self.modulus)
-        for idx in range(self.p, self.Q):
-            a = poly.Polynomial(fp, self._decode(idx))
+        cofactors = [(Q - 1) // r for r in primes if (p - 1) % r]
+        norm = self._norm_map(poly, fp, f) if p > 2 else None
+        # the indices below p are the prime field, whose orders divide
+        # p - 1 < Q - 1, so none of them generates
+        for idx in range(p, Q):
+            digits = self._decode(idx)
+            if norm is not None and fp.mult_order_idx(norm(digits)) != p - 1:
+                continue
+            a = poly.Polynomial(fp, digits)
             if all(poly.poly_powmod(a, c, f).coeffs != (1,) for c in cofactors):
                 return idx
         raise RuntimeError("no generator found")  # unreachable for a field
+
+    def _norm_map(self, poly, fp: FieldDescriptor, f) -> Callable[[tuple[int, ...]], int]:
+        """digits of a -> N(a) in GF(p), the product of the k conjugates
+        a**(p**i) mod f. The conjugates come from one product with the
+        stacked matrices of a -> a**(p**i), the powers of the k x k GF(p)
+        Frobenius matrix, whose column j holds x**(j*p) mod f."""
+        p, k = self.p, self.k
+        xp = poly.poly_powmod(poly.Polynomial.x(fp), p, f)
+        frob = np.zeros((k, k), dtype=np.int64)
+        col = poly.Polynomial(fp, (1,))
+        for j in range(k):
+            frob[: len(col.coeffs), j] = col.coeffs
+            col = (col * xp) % f
+        powers = [np.eye(k, dtype=np.int64)]
+        for _ in range(k - 1):
+            powers.append((frob @ powers[-1]) % p)
+        stack = np.stack(powers)
+
+        def norm(digits: tuple[int, ...]) -> int:
+            conjugates = [poly.Polynomial(fp, c) for c in ((stack @ digits) % p).tolist()]
+            return poly.poly_prodmod(conjugates, f).coeffs[0]  # a nonzero constant
+
+        return norm
 
     def _build_tables(self) -> None:
         """exp[j] = index of g**j for j < Q - 1, and its inverse log (with
@@ -170,41 +210,52 @@ class FieldDescriptor:
         return self._zech
 
     def _exp_by_matmul(self) -> np.ndarray:
-        """The exp table for any p: the digit vectors of g**j, a block of
-        B = _TABLE_BLOCK rows at a time, each block the previous one times
-        the matrix of multiplication by g**B."""
+        """The exp table for any p: the digit vectors of g**j as the columns
+        of a k x B block, B = _TABLE_BLOCK columns at a time, each block the
+        matrix of multiplication by g**B times the previous one.
+
+        A product entry sums k terms below p**2, so the block is int32 when
+        k * (p-1)**2 < 2**31 (every k >= 2 field under the cap) and int64
+        otherwise (the large prime fields)."""
         p, k, Qm1 = self.p, self.k, self.Q - 1
+        dtype = np.int32 if k * (p - 1) ** 2 < 1 << 31 else np.int64
         # multiplication-by-generator matrix: column j = coeffs of g * x**j
         if k == 1:
-            M = np.array([[self.generator_index]], dtype=np.int64)
+            M = np.array([[self.generator_index]], dtype=dtype)
         else:
             poly, fp = _prime_field_ring(p)
             f = poly.Polynomial(fp, self.modulus)
             g = self._decode(self.generator_index)
-            M = np.zeros((k, k), dtype=np.int64)
+            M = np.zeros((k, k), dtype=dtype)
             for j in range(k):
                 col = (poly.Polynomial(fp, (0,) * j + g) % f).coeffs
                 M[: len(col), j] = col
+        pp = p ** np.arange(k, dtype=dtype)  # p**(k-1) < Q fits either dtype
         B = min(_TABLE_BLOCK, Qm1)
-        block = np.zeros((B, k), dtype=np.int64)
+        block = np.zeros((k, B), dtype=dtype)
         block[0, 0] = 1
         n, Mn = 1, M  # Mn = M**n mod p
-        while n < B:  # the first block by doubling: rows n..2n-1 = M**n rows 0..n-1
+        while n < B:  # the first block by doubling: columns n..2n-1 = M**n columns 0..n-1
             m = min(n, B - n)
-            block[n : n + m] = (block[:m] @ Mn.T) % p
+            block[:, n : n + m] = (Mn @ block[:, :m]) % p
             Mn = (Mn @ Mn) % p
             n += m
         exp = np.empty(Qm1, dtype=_TABLE_DTYPE)
-        exp[:B] = block @ self._pp_np
+        exp[:B] = pp @ block
         if Qm1 > B:
             # B = _TABLE_BLOCK is a power of two, so the doubling above
-            # ended on a full step and left Mn = M**B
-            MBt = Mn.T
+            # ended on a full step and left Mn = M**B. numpy's integer matmul
+            # and remainder take about three times as long as einsum and a
+            # remainder through floor division by a scalar
+            prod = np.empty_like(block)
             pos = B
             while pos < Qm1:
-                block = (block @ MBt) % p
+                np.einsum("ij,jb->ib", Mn, block, out=prod)
+                np.floor_divide(prod, p, out=block)  # block = prod - p * (prod // p)
+                block *= -p
+                block += prod
                 n = min(B, Qm1 - pos)
-                exp[pos : pos + n] = block[:n] @ self._pp_np
+                np.einsum("i,ib->b", pp, block[:, :n], out=exp[pos : pos + n], casting="same_kind")
                 pos += n
         return exp
 

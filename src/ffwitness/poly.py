@@ -296,6 +296,18 @@ def poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     return Polynomial._from_logs(fd, result)
 
 
+def poly_prodmod(factors: Iterable[Polynomial], mod: Polynomial) -> Polynomial:
+    """The product of the factors mod mod, in the log domain like
+    poly_powmod; the empty product is 1."""
+    fd = mod.field
+    n, zech = fd.Q - 1, fd.zech_table()
+    divisor = _log_divisor(mod)
+    result = [0]  # log(1) = 0
+    for g in factors:
+        result = _log_mulmod(result, g._logs(), divisor, n, zech)
+    return Polynomial._from_logs(fd, result)
+
+
 def distinct_degree_factors(f: Polynomial) -> Iterator[tuple[int, Polynomial]]:
     """Distinct-degree factorization of a monic squarefree f (Lidl-
     Niederreiter, Finite Fields, ch. 4): yields (i, product of the

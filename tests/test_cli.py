@@ -320,13 +320,17 @@ def test_survey_far_above_the_cap_records_cap_rows_quickly():
 
 
 def test_ck_check_wide_range_reaches_the_cap_at_once():
-    # prime powers are tested only as they are reached, so the first odd one,
-    # 2053, is refused by the cap before the rest of the range is searched
-    start = time.perf_counter()
-    code, out, err = run(["ck-check", "--q-min", "2040", "--q-max", str(10**11)])
-    assert time.perf_counter() - start < 2
-    assert code == cli.EXIT_CAP and out == ""
-    assert err.startswith("cap exceeded: field size 2053**2") and err.count("\n") == 1, err
+    # the largest odd prime power of the range, found scanning down from
+    # --q-max, is refused by the cap before any row is computed (each row
+    # below it costs about q**3: --q-max 2100 took minutes row by row)
+    for lo, hi in ((2040, 10**11), (7, 2100), (7, 10**11)):
+        top = max(q for q in range(hi - 100, hi + 1) if q % 2 and len(factorint(q)) == 1)
+        (p, k), = factorint(top).items()
+        start = time.perf_counter()
+        code, out, err = run(["ck-check", "--q-min", str(lo), "--q-max", str(hi)])
+        assert time.perf_counter() - start < 2, (lo, hi)
+        assert code == cli.EXIT_CAP and out == ""
+        assert err == f"cap exceeded: field size {p}**{2 * k} exceeds cap {field.DEFAULT_CAP}\n", err
 
 
 def test_survey_is_byte_identical_under_a_tiny_cache_budget(monkeypatch):

@@ -14,12 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import ZZ, primerange, primitive_root
+from sympy import ZZ, factorint, primerange, primitive_root
 from sympy.polys.galoistools import (
     gf_add, gf_gcdex, gf_irreducible_p, gf_mul, gf_neg, gf_pow_mod, gf_rem, gf_strip, gf_sub,
 )
 
-from ffwitness import field, nt
+from ffwitness import field, nt, poly
 from ffwitness.field import (
     CapExceeded,
     FieldElement,
@@ -257,6 +257,51 @@ def test_exp_doubling_matches_matmul(k):
     log[exp] = np.arange(fd.Q - 1)
     assert np.array_equal(fd._exp, exp)
     assert np.array_equal(fd._log, log)
+
+
+def _exp_row_major(fd):
+    """The exp table by the row-major int64 recurrence: row j holds the
+    digits of g**j, and each block of 4,096 rows is the last one times
+    (M**4096).T, M the matrix of multiplication by g from the naive oracle."""
+    p, k, n, B = fd.p, fd.k, fd.Q - 1, 4096
+    g = idx_to_poly(fd.generator_index, p, k)
+    unit = [[int(i == j) for i in range(k)] for j in range(k)]  # x**j
+    M = np.array([naive_mul(g, x_j, p, list(fd.modulus)) for x_j in unit], dtype=np.int64).T
+    rows = np.zeros((min(B, n), k), dtype=np.int64)
+    rows[0, 0] = 1
+    for j in range(1, len(rows)):
+        rows[j] = (M @ rows[j - 1]) % p
+    MB = M
+    for _ in range(12):  # M**4096
+        MB = (MB @ MB) % p
+    pp = p ** np.arange(k, dtype=np.int64)
+    out = [rows @ pp]
+    while len(out) * B < n:
+        rows = (rows @ MB.T) % p
+        out.append(rows @ pp)
+    return np.concatenate(out)[:n]
+
+
+@pytest.mark.parametrize("p,k", [(3, 8), (7, 5), (2039, 2), (3, 11), (65537, 1)])
+def test_exp_recurrence_matches_the_row_major_reference(p, k):
+    # each field spans several 4,096-column blocks; the k >= 2 fields take
+    # the int32 block, GF(65537) the int64 one, as (p - 1)**2 = 2**32
+    fd = make_field(p, k)
+    assert np.array_equal(fd._exp, _exp_row_major(fd))
+
+
+def test_generator_search_powmod_count_is_pinned(monkeypatch):
+    # GF(17**4) rejects 290 candidates before index 307. The norm decides
+    # r = 2, the one prime of p - 1, so only r = 3, 5 and 29 take powmods:
+    # 6 in the modulus search, 1 for the Frobenius matrix and 148 in the
+    # generator search, against 445 with a powmod for every prime
+    make_field(17, 1)
+    calls = []
+    powmod = poly.poly_powmod
+    monkeypatch.setattr(poly, "poly_powmod", lambda *args: calls.append(args) or powmod(*args))
+    fd = field.FieldDescriptor(17, 4, field.DEFAULT_CAP)
+    assert fd.generator_index == 307
+    assert len(calls) == 155
 
 
 @pytest.mark.parametrize("p,k", [(2039, 2), (2, 22)])
@@ -575,6 +620,28 @@ def test_scalar_ops_match_galoistools(cell, data):
     j = fd.log_idx(a)
     assert 0 <= j < fd.Q - 1
     assert _gf(fd, a) == gf_pow_mod(_gf(fd, fd.generator_index), j, mod, p, ZZ)
+
+
+# odd p with k >= 2 up to 20,000 elements, and GF(17**4), which tests 291
+# candidates, GF(3**11) and the cap-sized GF(2039**2)
+GENERATOR_ORACLE_FIELDS = [
+    (p, k) for p in primerange(3, 142) for k in range(2, 10) if p**k <= 20000
+] + [(17, 4), (3, 11), (2039, 2)]
+
+
+@pytest.mark.parametrize("p,k", GENERATOR_ORACLE_FIELDS)
+def test_generator_is_the_least_primitive_index_per_galoistools(p, k):
+    # g has order Q - 1 and no index in [p, g) does, by sympy's powmods for
+    # every prime of Q - 1; the indices below p are the prime field
+    fd = make_field(p, k)
+    mod = [ZZ(c) for c in reversed(fd.modulus)]
+    cofactors = [(fd.Q - 1) // r for r in factorint(fd.Q - 1)]
+
+    def primitive(idx):
+        return all(gf_pow_mod(_gf(fd, idx), c, mod, p, ZZ) != [1] for c in cofactors)
+
+    assert primitive(fd.generator_index)
+    assert not any(primitive(idx) for idx in range(p, fd.generator_index))
 
 
 def test_zech_table_is_built_on_first_scalar_addition():
