@@ -18,9 +18,13 @@ part of f, the one poly.is_irreducible runs. Level i holds the roots of
 degree exactly i over GF(Q) (level 1 those in GF(Q) itself). A level that is
 one irreducible factor P is decided in closed form at every size: its i
 roots are conjugate, so they share the multiplicity of P in f and the field
-GF(q)(zeta), and no extension field is built. A level of several factors of
-one degree is resolved by finding its roots in GF(Q**i) when that field fits
-the cap, and is reported as unknown beyond it rather than guessed.
+GF(q)(zeta), and no extension field is built. That field is GF(q**j) with
+j = i*c, c the degree over GF(q) of the field P's coefficients generate
+(Lidl-Niederreiter, Finite Fields, Thm 3.46), and c costs no polynomial
+power: a nonzero a of GF(Q) lies in GF(q**s) iff (Q-1)/(q**s-1) divides
+log a. A level of several factors of one degree is resolved by finding its
+roots in GF(Q**i) when that field fits the cap, and is reported as unknown
+beyond it rather than guessed.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .poly import (
     distinct_degree_factors,
     lift,
     multiplicity,
-    poly_powmod,
     roots_in_extension,
     squarefree_part,
 )
@@ -155,12 +158,13 @@ def _check_domain(chi: Character, f: Polynomial, base: FieldDescriptor) -> int:
     return chi.field.k // base.k
 
 
-def _frobenius_degree(fd: FieldDescriptor, idx: int, q: int, span: int) -> int:
-    # least s (a divisor of span) with idx**(q**s) == idx
-    for s in nt.factorize(span).divisors():
-        if fd.pow_idx(idx, q**s) == idx:
-            return s
-    raise RuntimeError("element fixed by no Frobenius power in its own field")
+def _subfield_degree(fd: FieldDescriptor, indices: Sequence[int], q: int, span: int) -> int:
+    """The least s | span (with fd = GF(q**span)) such that every nonzero
+    index lies in the copy of GF(q**s): a nonzero a lies there iff
+    (Q - 1)/(q**s - 1) divides log a, so iff it divides the gcd of the logs."""
+    n = fd.Q - 1
+    g = math.gcd(n, *(fd.log_idx(a) for a in indices if a))
+    return next(s for s in nt.factorize(span).divisors() if g % (n // (q**s - 1)) == 0)
 
 
 def _norm_image_order(ext_Q: int, down_Q: int, q: int, j: int) -> int:
@@ -181,9 +185,12 @@ def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple
 
     A level that is one irreducible factor P of degree i is decided in closed
     form at every cap: its i roots are conjugate over B, so each has the
-    multiplicity of P in f and generates GF(q**j) over GF(q), j the least
-    divisor s of m*i with x**(q**s) = x mod P. A level of several factors of
-    one degree has its roots found in GF(Q**i) when that field fits the cap.
+    multiplicity of P in f and generates GF(q**j) over GF(q) with j = i*c,
+    c the degree over GF(q) of the field the coefficients of the monic P
+    generate (Lidl-Niederreiter, Finite Fields, Thm 3.46), read from their
+    discrete logs. A level of several factors of one degree has its roots found in
+    GF(Q**i) when that field fits the cap, each root's degree read from its
+    log. When f is squarefree every multiplicity is 1 and none is computed.
 
     Returns (classes, shortcut_used, D) where classes is a tuple of
     (multiplicity, image_order) per root, (None, None) for a level beyond
@@ -195,30 +202,23 @@ def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple
     m = B.k // base.k
     fm = f.monic()
     sf = squarefree_part(fm)
-    x = Polynomial.x(B)
+    simple = sf.degree() == fm.degree()
     classes: list[tuple[int | None, int | None]] = []
     shortcut_used = False
     for i, comp in distinct_degree_factors(sf):
         if comp.degree() == i:
-            # j is the least divisor s of m*i with x**(q**s) = x mod comp;
-            # each power comes from the last one tried, and s = m*i needs no
-            # test, as the roots lie in GF(Q**i)
-            x_mod, cur, prev, j = x % comp, x, 0, m * i
-            for s in nt.factorize(m * i).divisors()[:-1]:
-                cur, prev = poly_powmod(cur, q ** (s - prev), comp), s
-                if cur == x_mod:
-                    j = s
-                    break
-            classes += [(multiplicity(fm, comp), _norm_image_order(B.Q**i, B.Q, q, j))] * i
+            j = i * _subfield_degree(B, comp.coeffs, q, m)
+            mult = 1 if simple else multiplicity(fm, comp)
+            classes += [(mult, _norm_image_order(B.Q**i, B.Q, q, j))] * i
             shortcut_used = True
         elif B.Q**i <= cap:
             # every root of comp has degree exactly i over B, so GF(Q**i)
             # holds them all
             ext = make_field(B.p, B.k * i, cap=cap)
-            g = lift(fm, ext)
+            g = None if simple else lift(fm, ext)
             for zeta, _ in roots_in_extension(comp, ext):
-                mult = multiplicity(g, Polynomial(ext, (ext.neg_idx(zeta.idx), 1)))
-                j = _frobenius_degree(ext, zeta.idx, q, m * i)
+                mult = 1 if simple else multiplicity(g, Polynomial(ext, (ext.neg_idx(zeta.idx), 1)))
+                j = _subfield_degree(ext, [zeta.idx], q, m * i)
                 classes.append((mult, _norm_image_order(ext.Q, B.Q, q, j)))
         else:
             # several factors of degree i beyond the cap, not told apart

@@ -26,7 +26,15 @@ from ffwitness.charsum import (
     weil_audit_instances,
 )
 from ffwitness.field import DEFAULT_CAP, get_embedding, is_dth_power, make_field
-from ffwitness.poly import Polynomial, distinct_degree_factors, is_irreducible, squarefree_part
+from ffwitness.poly import (
+    Polynomial,
+    distinct_degree_factors,
+    is_irreducible,
+    lift,
+    poly_powmod,
+    roots_in_extension,
+    squarefree_part,
+)
 
 TOL = 1e-9
 
@@ -392,6 +400,128 @@ def test_one_irreducible_factor_builds_no_field(monkeypatch):
     monkeypatch.setattr(charsum, "make_field", refuse)
     classes, shortcut, D = charsum._root_profile(quad, f3, DEFAULT_CAP)
     assert sorted(classes) == want and shortcut is True and D == 2
+
+
+def frobenius_degree_by_powmod(P, q, span):
+    # the rule the profile used to run: the least s | span with
+    # x**(q**s) = x mod P
+    x = Polynomial.x(P.field) % P
+    return next(s for s in nt.factorize(span).divisors() if poly_powmod(x, q**s, P) == x)
+
+
+def irreducibles_from_subfields(base, B, rng, max_deg=4, per_degree=3):
+    """Monic irreducibles over B of degree 1 to max_deg, drawn over each
+    intermediate field GF(q**s), s | m, and lifted to B when they stay
+    irreducible there, so some have all coefficients in a proper subfield."""
+    q, m = base.Q, B.k // base.k
+    out = []
+    for s in nt.factorize(m).divisors():
+        F = make_field(B.p, base.k * s)
+        for d in range(1, max_deg + 1):
+            found = 0
+            while found < per_degree:
+                P = Polynomial(F, [rng.randrange(F.Q) for _ in range(d)] + [1])
+                if is_irreducible(P):
+                    found += 1
+                    P = lift(P, B)
+                    if is_irreducible(P):
+                        out.append(P)
+    return out
+
+
+# (p, k of the base field, m = [B : base]): both characteristics, m in {2, 3, 4}
+DEGREE_CELLS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("p,k,m", DEGREE_CELLS)
+def test_single_factor_degree_from_coefficient_logs_matches_frobenius(p, k, m):
+    # a root of degree j over GF(q) has a minimal polynomial over GF(q**m) of
+    # degree i = j / gcd(j, m) whose coefficients generate GF(q**gcd(j, m))
+    # (Lidl-Niederreiter, Thm 3.46), so j = i * c with c read from the logs
+    base, B = make_field(p, k), make_field(p, k * m)
+    q = base.Q
+    seen_c = set()
+    for P in irreducibles_from_subfields(base, B, random.Random(31 * p + 7 * k + m)):
+        i = P.degree()
+        c = charsum._subfield_degree(B, P.coeffs, q, m)
+        assert i * c == frobenius_degree_by_powmod(P, q, m * i), P
+        classes, shortcut, D = charsum._root_profile(P, base, DEFAULT_CAP)
+        assert classes == ((1, charsum._norm_image_order(B.Q**i, B.Q, q, i * c)),) * i
+        assert shortcut is True and D == i
+        seen_c.add(c)
+    assert seen_c == set(nt.factorize(m).divisors()), seen_c
+
+
+def test_cubic_from_gf2_over_gf4_has_degree_3():
+    # x**3 + x + 1 stays irreducible over GF(4) (gcd(3, 2) = 1); its roots
+    # generate GF(8) over GF(2), so j = 3, not 3 * [GF(4) : GF(2)] = 6
+    f2, f4 = make_field(2, 1), make_field(2, 2)
+    P = lift(Polynomial(f2, (1, 1, 0, 1)), f4)
+    assert is_irreducible(P)
+    assert charsum._subfield_degree(f4, P.coeffs, 2, 2) == 1
+    assert frobenius_degree_by_powmod(P, 2, 6) == 3
+    classes, _, _ = charsum._root_profile(P, f2, DEFAULT_CAP)
+    assert classes == ((1, charsum._norm_image_order(64, 4, 2, 3)),) * 3
+    assert sorted(classes) == profile_by_enumeration(P, f2)
+
+
+@pytest.mark.parametrize("p,k,m", DEGREE_CELLS)
+def test_split_root_degree_from_log_matches_frobenius(p, k, m):
+    # a level of several factors of degree i: each root found in GF(Q**i)
+    # gets its degree over GF(q) from its log, which must be the least
+    # s | m*i with zeta**(q**s) = zeta
+    base, B = make_field(p, k), make_field(p, k * m)
+    q = base.Q
+    by_degree = {}
+    for P in irreducibles_from_subfields(base, B, random.Random(17 * p + 5 * k + m), max_deg=3):
+        by_degree.setdefault(P.degree(), []).append(P)
+    x = Polynomial.x(B)
+    polys = [x * (x - Polynomial.constant(B, 1))]  # the root 0 among them
+    polys += [a * b for group in by_degree.values() for a, b in itertools.combinations(group, 2) if a != b]
+    checked = 0
+    for f in polys:
+        for i, comp in distinct_degree_factors(squarefree_part(f)):
+            if comp.degree() == i or B.Q**i > 1 << 16:
+                continue
+            ext = make_field(p, B.k * i)
+            for zeta, _ in roots_in_extension(comp, ext):
+                want = next(s for s in nt.factorize(m * i).divisors() if ext.pow_idx(zeta.idx, q**s) == zeta.idx)
+                assert charsum._subfield_degree(ext, [zeta.idx], q, m * i) == want, (f, zeta.idx)
+                checked += 1
+    assert checked > 20, checked
+
+
+@pytest.mark.parametrize("p,k,m,max_deg", [(2, 1, 2, 6), (3, 1, 2, 5), (5, 1, 1, 6)])
+def test_squarefree_f_computes_no_multiplicity(monkeypatch, p, k, m, max_deg):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a multiplicity was computed for a squarefree f")
+
+    base, B = make_field(p, k), make_field(p, k * m)
+    polys = profile_polys(B, random.Random(p + k + m), max_deg)
+    polys = [f for f in polys if squarefree_part(f).degree() == f.degree()]
+    levels = [comp.degree() == i for f in polys for i, comp in distinct_degree_factors(squarefree_part(f))]
+    assert True in levels and False in levels  # both branches run
+    monkeypatch.setattr(charsum, "multiplicity", refuse)
+    monkeypatch.setattr(charsum, "lift", refuse)
+    for f in polys:
+        classes, _, D = charsum._root_profile(f, base, DEFAULT_CAP)
+        assert sorted(classes) == profile_by_enumeration(f, base) and D == f.degree(), f
+
+
+@pytest.mark.parametrize("p,k,m", [(2, 1, 2), (3, 1, 1), (5, 1, 1)])
+def test_repeated_roots_in_both_kinds_of_level_match_enumeration(p, k, m):
+    # (x - a)**2 (x - b) P**2: level 1 holds two factors, one repeated, and
+    # level 2 is the one irreducible P of multiplicity 2; P**2 R (x - a):
+    # level 2 holds two factors, one repeated
+    base, B = make_field(p, k), make_field(p, k * m)
+    x = Polynomial.x(B)
+    lin_a, lin_b = x - Polynomial.constant(B, 1), x - Polynomial.constant(B, 2)
+    P, R = smallest_irreducibles(B, 2)
+    for f in [lin_a * lin_a * lin_b * P * P, P * P * R * lin_a]:
+        assert squarefree_part(f).degree() < f.degree()
+        classes, _, D = charsum._root_profile(f, base, DEFAULT_CAP)
+        assert sorted(classes) == profile_by_enumeration(f, base), f
+        assert any(mult == 2 for mult, _ in classes) and D == squarefree_part(f).degree()
 
 
 # -- r-free indicators ----------------------------------------------------------
