@@ -13,18 +13,18 @@ covered iff L, the lcm of o / gcd(t, o) over the roots, does not divide its
 index; L divides the index of a character of order d iff it divides
 (Q - 1)/d, so primitive_weil_audit asks once per order.
 
-The roots are grouped by the distinct-degree factorization of the squarefree
-part of f, the one poly.is_irreducible runs. Level i holds the roots of
-degree exactly i over GF(Q) (level 1 those in GF(Q) itself). A level that is
-one irreducible factor P is decided in closed form at every size: its i
-roots are conjugate, so they share the multiplicity of P in f and the field
-GF(q)(zeta), and no extension field is built. That field is GF(q**j) with
-j = i*c, c the degree over GF(q) of the field P's coefficients generate
-(Lidl-Niederreiter, Finite Fields, Thm 3.46), and c costs no polynomial
-power: a nonzero a of GF(Q) lies in GF(q**s) iff (Q-1)/(q**s-1) divides
-log a. A level of several factors of one degree is resolved by finding its
-roots in GF(Q**i) when that field fits the cap, and is reported as unknown
-beyond it rather than guessed.
+The roots are grouped by the squarefree layers of f (poly.squarefree_layers),
+A_e holding those of multiplicity exactly e, and each layer by the
+distinct-degree factorization poly.is_irreducible runs. Level i holds the
+roots of degree exactly i over GF(Q) (level 1 those in GF(Q) itself). A
+level that is one irreducible factor P is decided in closed form at every
+size: its i roots are conjugate, so they share the field GF(q)(zeta), and
+no extension field is built. That field is GF(q**j) with j = i*c, c the
+degree over GF(q) of the field P's coefficients generate (Lidl-Niederreiter,
+Finite Fields, Thm 3.46), and c costs no polynomial power: a nonzero a of
+GF(Q) lies in GF(q**s) iff (Q-1)/(q**s-1) divides log a. A level of several
+factors of one degree is resolved by finding its roots in GF(Q**i) when that
+field fits the cap, and is reported as unknown beyond it rather than guessed.
 """
 
 from __future__ import annotations
@@ -47,14 +47,7 @@ from .field import (
     make_field_pair,
     mult_order,
 )
-from .poly import (
-    Polynomial,
-    distinct_degree_factors,
-    lift,
-    multiplicity,
-    roots_in_extension,
-    squarefree_part,
-)
+from .poly import Polynomial, distinct_degree_factors, roots_in_extension, squarefree_layers
 
 
 def _omega(fd: FieldDescriptor) -> np.ndarray:
@@ -92,7 +85,7 @@ class Character:
         return self.index == 0
 
     def __call__(self, beta: FieldElement | int) -> complex:
-        idx = beta.idx if isinstance(beta, FieldElement) else int(beta)
+        idx = self.field.element(beta).idx
         return complex(char_sums(self.field, self.field.log_vec(np.array([idx])), [self.index])[0])
 
 
@@ -180,17 +173,16 @@ def _norm_image_order(ext_Q: int, down_Q: int, q: int, j: int) -> int:
 
 def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple, bool, int]:
     """Classify the roots of f (over its coefficient field B) by multiplicity
-    and by the order of the norm image of GF(q)(zeta)* in B*, one
-    distinct-degree level of the squarefree part of f at a time.
+    e, the layer A_e of f they lie in, and by the order of the norm image of
+    GF(q)(zeta)* in B*, one distinct-degree level of A_e at a time.
 
     A level that is one irreducible factor P of degree i is decided in closed
-    form at every cap: its i roots are conjugate over B, so each has the
-    multiplicity of P in f and generates GF(q**j) over GF(q) with j = i*c,
-    c the degree over GF(q) of the field the coefficients of the monic P
-    generate (Lidl-Niederreiter, Finite Fields, Thm 3.46), read from their
-    discrete logs. A level of several factors of one degree has its roots found in
-    GF(Q**i) when that field fits the cap, each root's degree read from its
-    log. When f is squarefree every multiplicity is 1 and none is computed.
+    form at every cap: its i roots are conjugate over B, so each generates
+    GF(q**j) over GF(q) with j = i*c, c the degree over GF(q) of the field
+    the coefficients of the monic P generate (Lidl-Niederreiter, Finite
+    Fields, Thm 3.46), read from their discrete logs. A level of several
+    factors of one degree has its roots found in GF(Q**i) when that field
+    fits the cap, each root's degree read from its log.
 
     Returns (classes, shortcut_used, D) where classes is a tuple of
     (multiplicity, image_order) per root, (None, None) for a level beyond
@@ -200,30 +192,27 @@ def _root_profile(f: Polynomial, base: FieldDescriptor, cap: int) -> tuple[tuple
     B = f.field
     q = base.Q
     m = B.k // base.k
-    fm = f.monic()
-    sf = squarefree_part(fm)
-    simple = sf.degree() == fm.degree()
     classes: list[tuple[int | None, int | None]] = []
     shortcut_used = False
-    for i, comp in distinct_degree_factors(sf):
-        if comp.degree() == i:
-            j = i * _subfield_degree(B, comp.coeffs, q, m)
-            mult = 1 if simple else multiplicity(fm, comp)
-            classes += [(mult, _norm_image_order(B.Q**i, B.Q, q, j))] * i
-            shortcut_used = True
-        elif B.Q**i <= cap:
-            # every root of comp has degree exactly i over B, so GF(Q**i)
-            # holds them all
-            ext = make_field(B.p, B.k * i, cap=cap)
-            g = None if simple else lift(fm, ext)
-            for zeta, _ in roots_in_extension(comp, ext):
-                mult = 1 if simple else multiplicity(g, Polynomial(ext, (ext.neg_idx(zeta.idx), 1)))
-                j = _subfield_degree(ext, [zeta.idx], q, m * i)
-                classes.append((mult, _norm_image_order(ext.Q, B.Q, q, j)))
-        else:
-            # several factors of degree i beyond the cap, not told apart
-            classes.append((None, None))
-    return tuple(classes), shortcut_used, sf.degree()
+    D = 0
+    for e, A in squarefree_layers(f):
+        D += A.degree()
+        for i, comp in distinct_degree_factors(A):
+            if comp.degree() == i:
+                j = i * _subfield_degree(B, comp.coeffs, q, m)
+                classes += [(e, _norm_image_order(B.Q**i, B.Q, q, j))] * i
+                shortcut_used = True
+            elif B.Q**i <= cap:
+                # every root of comp has degree exactly i over B, so GF(Q**i)
+                # holds them all
+                ext = make_field(B.p, B.k * i, cap=cap)
+                for zeta in roots_in_extension(comp, ext):
+                    j = _subfield_degree(ext, [zeta.idx], q, m * i)
+                    classes.append((e, _norm_image_order(ext.Q, B.Q, q, j)))
+            else:
+                # several factors of degree i beyond the cap, not told apart
+                classes.append((None, None))
+    return tuple(classes), shortcut_used, D
 
 
 def weil_applicability(

@@ -175,7 +175,9 @@ def _cmd_mn_search(args) -> int:
 
 
 def _checks_out(key: str, results: list[dict], args) -> int:
-    # one {key: ..., "ok": ...} row per checked field
+    # one {key: ..., "ok": ...} row per checked field; none makes all_ok vacuous
+    if not results:
+        raise ValueError(f"no {key} to check")
     all_ok = all(r["ok"] for r in results)
     if args.format == "csv":
         _emit(_csv_text(results, [key, "ok"]), args.out)
@@ -187,6 +189,8 @@ def _checks_out(key: str, results: list[dict], args) -> int:
 def _cmd_ck_check(args) -> int:
     cap = _effective_cap(args)
     lo, hi = args.q_min, args.q_max
+    if lo > hi:
+        raise ValueError("--q-min must not exceed --q-max")
     # every row builds GF(q**2), so the largest odd prime power of the range,
     # found scanning down from hi (from below 2**63, where the prime test
     # works), decides the cap before any row is computed. A range holding

@@ -298,7 +298,7 @@ def hm_artin_schreier_check(p: int, *, cap: int | None = None) -> bool:
     roots = roots_in_extension(Polynomial(fp, (p - a, p - 1) + (0,) * (p - 2) + (1,)), big)
     if len(roots) != p:
         raise RuntimeError(f"x**p - x - a has {len(roots)} roots, not p; field arithmetic is broken")
-    return not any(is_dth_power(root, 2) for root, _ in roots)
+    return not any(is_dth_power(root, 2) for root in roots)
 
 
 def mn_conjecture_search(

@@ -1,7 +1,7 @@
 """Polynomials over a constructed field, plus the irreducibility machinery:
 distinct-degree factorization and the irreducibility test built on it, the
-binomial criterion, composition with x**t, squarefree parts, and root
-finding in extensions.
+binomial criterion, composition with x**t, squarefree parts and the
+multiplicity layers built on them, and root finding in extensions.
 
 Multiplication and division run in the log domain: each coefficient is
 held as its discrete log (-1 for zero), a product of two terms is a sum of
@@ -432,16 +432,23 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     return w * squarefree_part(pth_root_poly(rest))
 
 
-def multiplicity(f: Polynomial, factor: Polynomial) -> int:
-    """The largest n with factor**n dividing f, by repeated division."""
-    mult = 0
-    cur = f
-    while True:
-        quo, rem = divmod(cur, factor)
-        if not rem.is_zero():
-            return mult
-        mult += 1
-        cur = quo
+def squarefree_layers(f: Polynomial) -> list[tuple[int, Polynomial]]:
+    """The squarefree decomposition of a nonzero f (von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 14): [(e, A_e)] by ascending e for each
+    A_e != 1, the monic product of the factors of multiplicity exactly e.
+    With F_1 = f monic, S_e = squarefree_part(F_e) holds the factors of
+    multiplicity >= e, F_{e+1} = F_e / S_e and A_e = S_e / S_{e+1}; once
+    S_e has the degree of F_e, A_e = S_e, so a squarefree f costs one
+    squarefree_part and no division."""
+    F = f.monic()
+    S = squarefree_part(F)
+    layers, e = [], 1
+    while S.degree() < F.degree():
+        F = F // S
+        below = squarefree_part(F)
+        layers.append((e, S // below))
+        S, e = below, e + 1
+    return [(e, A) for e, A in layers + [(e, S)] if A.degree() > 0]
 
 
 def _split_linear(L: Polynomial, start: int = 0) -> list[int]:
@@ -486,13 +493,13 @@ def lift(f: Polynomial, ext: FieldDescriptor) -> Polynomial:
     return Polynomial(ext, [emb.map_idx(c) for c in f.coeffs])
 
 
-def roots_in_extension(f: Polynomial, ext: FieldDescriptor) -> list[tuple[FieldElement, int]]:
-    """Roots of f in the extension field with multiplicities, sorted by
-    element index. The coefficient field must embed in ext.
+def roots_in_extension(f: Polynomial, ext: FieldDescriptor) -> list[FieldElement]:
+    """The distinct roots of f in the extension field, sorted by element
+    index. The coefficient field must embed in ext.
 
-    The distinct roots are those of L = gcd(g, x**Q - x) for g the monic
-    lift of f to ext, found by splitting L; the cost is polynomial in
-    deg f and log Q, with no pass over the field. A linear g is its own L."""
+    They are the roots of L = gcd(g, x**Q - x) for g the monic lift of f to
+    ext, found by splitting L; the cost is polynomial in deg f and log Q,
+    with no pass over the field. A linear g is its own L."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     g = lift(f, ext).monic()
@@ -500,7 +507,4 @@ def roots_in_extension(f: Polynomial, ext: FieldDescriptor) -> list[tuple[FieldE
         return []
     x = Polynomial.x(ext)
     L = g if g.degree() == 1 else g.gcd(poly_powmod(x, ext.Q, g) - x)
-    return [
-        (FieldElement(ext, r), multiplicity(g, Polynomial(ext, (ext.neg_idx(r), 1))))
-        for r in sorted(_split_linear(L))
-    ]
+    return [FieldElement(ext, r) for r in sorted(_split_linear(L))]

@@ -5,7 +5,7 @@ import pytest
 
 from ffwitness.field import clear_field_cache
 
-CRITERIA: dict[int, tuple[bool, str]] = {}
+CRITERIA: dict[int, str] = {}  # criterion number -> its ledger line
 
 
 def record_criterion(num: int, ok: bool, detail: str = "") -> str:
@@ -13,7 +13,7 @@ def record_criterion(num: int, ok: bool, detail: str = "") -> str:
     line = f"criterion {num:2d}: {'PASS' if ok else 'FAIL'}"
     if detail:
         line += f"  ({detail})"
-    CRITERIA[num] = (ok, detail)
+    CRITERIA[num] = line
     return line
 
 
@@ -29,8 +29,4 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.section("acceptance criteria")
     for num in sorted(CRITERIA):
-        ok, detail = CRITERIA[num]
-        line = f"criterion {num:2d}: {'PASS' if ok else 'FAIL'}"
-        if detail:
-            line += f"  ({detail})"
-        terminalreporter.write_line(line)
+        terminalreporter.write_line(CRITERIA[num])

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from ffwitness import charsum, nt
+from ffwitness import charsum, nt, poly
 from ffwitness.charsum import (
     Character,
     characters_of_order,
@@ -33,6 +33,7 @@ from ffwitness.poly import (
     lift,
     poly_powmod,
     roots_in_extension,
+    squarefree_layers,
     squarefree_part,
 )
 
@@ -55,6 +56,15 @@ def test_character_basics():
             assert cmath.isclose(
                 chi(ab), chi(f7.element(a)) * chi(f7.element(b)), abs_tol=TOL
             )
+
+
+def test_character_rejects_an_argument_outside_its_field():
+    f7, f9 = make_field(7, 1), make_field(3, 2)
+    chi = make_character(f7, 1)
+    for beta in (-1, 7, f9.element(3)):
+        with pytest.raises(ValueError):
+            chi(beta)
+    assert chi(6) == chi(f7.element(6))
 
 
 def test_trivial_character():
@@ -273,10 +283,11 @@ def test_root_profile_matches_enumeration_degrees_4_to_6(p, k, m, max_deg):
     for f in profile_polys(B, rng, max_deg):
         classes, shortcut, D = charsum._root_profile(f, base, DEFAULT_CAP)
         want = profile_by_enumeration(f, base)
-        # the shortcut marks a level decided from its one irreducible factor
-        levels = distinct_degree_factors(squarefree_part(f.monic()))
+        # the shortcut marks a level, of some multiplicity layer, decided
+        # from its one irreducible factor
+        levels = [comp.degree() == i for _, A in squarefree_layers(f) for i, comp in distinct_degree_factors(A)]
         assert sorted(classes) == want, f
-        assert shortcut is any(comp.degree() == i for i, comp in levels), f
+        assert shortcut is any(levels), f
         assert D == squarefree_part(f).degree(), f
         for idx in rng.sample(range(1, B.Q - 1), min(6, B.Q - 2)):
             chi = make_character(B, idx)
@@ -484,7 +495,7 @@ def test_split_root_degree_from_log_matches_frobenius(p, k, m):
             if comp.degree() == i or B.Q**i > 1 << 16:
                 continue
             ext = make_field(p, B.k * i)
-            for zeta, _ in roots_in_extension(comp, ext):
+            for zeta in roots_in_extension(comp, ext):
                 want = next(s for s in nt.factorize(m * i).divisors() if ext.pow_idx(zeta.idx, q**s) == zeta.idx)
                 assert charsum._subfield_degree(ext, [zeta.idx], q, m * i) == want, (f, zeta.idx)
                 checked += 1
@@ -493,19 +504,45 @@ def test_split_root_degree_from_log_matches_frobenius(p, k, m):
 
 @pytest.mark.parametrize("p,k,m,max_deg", [(2, 1, 2, 6), (3, 1, 2, 5), (5, 1, 1, 6)])
 def test_squarefree_f_computes_no_multiplicity(monkeypatch, p, k, m, max_deg):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a multiplicity was computed for a squarefree f")
-
+    # a squarefree f is the single layer A_1 = f monic, found by one
+    # squarefree_part, and every root takes multiplicity 1 from it
     base, B = make_field(p, k), make_field(p, k * m)
     polys = profile_polys(B, random.Random(p + k + m), max_deg)
     polys = [f for f in polys if squarefree_part(f).degree() == f.degree()]
-    levels = [comp.degree() == i for f in polys for i, comp in distinct_degree_factors(squarefree_part(f))]
-    assert True in levels and False in levels  # both branches run
-    monkeypatch.setattr(charsum, "multiplicity", refuse)
-    monkeypatch.setattr(charsum, "lift", refuse)
+    levels = [comp.degree() == i for f in polys for i, comp in distinct_degree_factors(f.monic())]
+    assert True in levels and False in levels  # both kinds of level run
+    calls = []
+    squarefree_part_ = poly.squarefree_part
+
+    def counted(g):
+        calls.append(g)
+        return squarefree_part_(g)
+
+    monkeypatch.setattr(poly, "squarefree_part", counted)
     for f in polys:
+        calls.clear()
+        assert squarefree_layers(f) == [(1, f.monic())] and len(calls) == 1, f
+        calls.clear()
         classes, _, D = charsum._root_profile(f, base, DEFAULT_CAP)
+        assert len(calls) == 1, f
         assert sorted(classes) == profile_by_enumeration(f, base) and D == f.degree(), f
+
+
+def test_same_degree_factors_of_different_multiplicity_are_decided_below_the_cap():
+    # P**2 R over GF(9), P and R irreducible quadratics: the distinct-degree
+    # level 2 of the squarefree part PR holds two factors, but the layers
+    # A_1 = R and A_2 = P each hold one, so at cap 9, below GF(81), every
+    # root class is decided and equals the enumeration at the default cap
+    f3, f9 = make_field(3, 1), make_field(3, 2)
+    P, R = smallest_irreducibles(f9, 2)
+    f = P * P * R
+    classes, shortcut, D = charsum._root_profile(f, f3, 9)
+    assert (None, None) not in classes and shortcut is True and D == 4
+    assert sorted(classes) == profile_by_enumeration(f, f3)
+    for idx in range(1, 8):
+        chi = make_character(f9, idx)
+        got = weil_applicability(chi, f, f3, cap=9).applicable
+        assert got is True and got is weil_applicability(chi, f, f3).applicable, idx
 
 
 @pytest.mark.parametrize("p,k,m", [(2, 1, 2), (3, 1, 1), (5, 1, 1)])

@@ -252,6 +252,9 @@ MALFORMED = {
     "mn-search-q-not-prime-power": (["mn-search", "--q", "6", "--kk", "2", "--l", "2"], None),
     "ck-check-q-below-7": (["ck-check", "--q-min", "3", "--q-max", "5"], None),
     "hm-check-even-p": (["hm-check", "--p-list", "4"], None),
+    # an all_ok over no field would be vacuous
+    "ck-check-reversed-range": (["ck-check", "--q-min", "50", "--q-max", "7"], None),
+    "hm-check-empty-p-list": (["hm-check", "--p-list", ""], None),
 }
 
 

@@ -1,5 +1,5 @@
 """Polynomial layer: arithmetic, irreducibility, the binomial and composition
-criteria, squarefree parts, roots in extensions.
+criteria, squarefree parts and layers, roots in extensions.
 
 Irreducibility oracles: naive trial division by all lower-degree monic
 polynomials, written here from scratch over the index arithmetic, and
@@ -8,7 +8,8 @@ gf_ddf_zassenhaus over prime fields, and over GF(4) and GF(9) the product
 of the components and the degree of every root, by evaluation. Root
 oracles: evaluation at every element of the extension (the whole-field
 search that roots_in_extension replaced), and sympy's galoistools over
-prime fields.
+prime fields; the multiplicities they find are checked against the
+squarefree layers, whose own oracle is sympy's gf_sqf_list.
 """
 
 import itertools
@@ -18,7 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ
-from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_factor, gf_irreducible_p, gf_sqf_part
+from sympy.polys.galoistools import (
+    gf_ddf_zassenhaus,
+    gf_factor,
+    gf_irreducible_p,
+    gf_mul,
+    gf_sqf_list,
+    gf_sqf_part,
+)
 
 from ffwitness import poly
 from ffwitness.field import get_embedding, make_field, FieldElement
@@ -31,6 +39,7 @@ from ffwitness.poly import (
     poly_powmod,
     pth_root_poly,
     roots_in_extension,
+    squarefree_layers,
     squarefree_part,
 )
 
@@ -313,11 +322,67 @@ def test_roots_in_extension_anchor():
     f3 = make_field(3, 1)
     f9 = make_field(3, 2)
     rts = roots_in_extension(Polynomial(f3, (1, 0, 1)), f9)
-    assert [(e.idx, m) for e, m in rts] == [(3, 1), (6, 1)]
+    assert [e.idx for e in rts] == [3, 6]
     lin = Polynomial(f3, (2, 1))
     sq = lin * lin
     rts = roots_in_extension(sq, f9)
-    assert len(rts) == 1 and rts[0][1] == 2
+    assert [e.idx for e in rts] == [1]  # the double root 1, listed once
+    assert squarefree_layers(sq) == [(2, lin)]
+
+
+def sympy_sqf_layers(coeffs, p):
+    """[(e, A_e)] of a polynomial over GF(p) (constant term first) from
+    sympy's gf_sqf_list, A_e as a monic coefficient tuple, constant first;
+    entries of one multiplicity are multiplied together."""
+    _, factors = gf_sqf_list([ZZ(c) for c in reversed(coeffs)], p, ZZ)
+    by_e = {}
+    for g, e in factors:
+        by_e[e] = gf_mul(by_e.get(e, [ZZ(1)]), g, p, ZZ)
+    return [(e, tuple(int(c) for c in reversed(by_e[e]))) for e in sorted(by_e)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_squarefree_layers_match_sympy_over_prime_fields(p):
+    # random polynomials, and products g * h**2 * k**p * r**(p + 1) of
+    # random factors, so p-th-power (zero-derivative) factors occur, alone
+    # and beside others of their multiplicity
+    fd = make_field(p, 1)
+    rng = random.Random(40 + p)
+
+    def rand_poly(max_degree):
+        deg = rng.randint(0, max_degree)
+        return Polynomial(fd, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+
+    cases = [rand_poly(8) for _ in range(60)]
+    for _ in range(60):
+        f = rand_poly(3)
+        for e in (2, p, p + 1):
+            if rng.random() < 0.6:
+                g = rand_poly(2)
+                for _ in range(e):
+                    f = f * g
+        cases.append(f)
+    seen = set()
+    for f in cases:
+        layers = squarefree_layers(f)
+        assert [(e, A.coeffs) for e, A in layers] == sympy_sqf_layers(f.coeffs, p), f
+        prod = Polynomial(fd, (1,))
+        for e, A in layers:
+            for _ in range(e):
+                prod = prod * A
+        assert prod == f.monic(), f
+        seen.update(e for e, _ in layers)
+    assert {1, 2, p, p + 1} <= seen, seen
+
+
+def test_squarefree_layers_edge_cases():
+    f9 = make_field(3, 2)
+    assert squarefree_layers(Polynomial(f9, (5,))) == []  # a nonzero constant has no factor
+    with pytest.raises(ValueError):
+        squarefree_layers(Polynomial(f9, ()))
+    # a squarefree f is one layer, itself made monic
+    f = Polynomial(f9, (1, 2, 0, 4))
+    assert squarefree_part(f).degree() == 3 and squarefree_layers(f) == [(1, f.monic())]
 
 
 def test_eq_and_hash():
@@ -346,8 +411,14 @@ def roots_by_evaluation(f, ext):
     return out
 
 
-def root_pairs(f, ext):
-    return [(e.idx, m) for e, m in roots_in_extension(f, ext)]
+def root_idxs(f, ext):
+    return [e.idx for e in roots_in_extension(f, ext)]
+
+
+def layer_root_pairs(f, ext):
+    """(root index, multiplicity) pairs of f in ext, each root taking the
+    multiplicity of the squarefree layer it lies in."""
+    return sorted((r, e) for e, A in squarefree_layers(f) for r in root_idxs(A, ext))
 
 
 # (p, k of the coefficient field, K of the extension): p = 2 and odd p,
@@ -379,7 +450,9 @@ def test_roots_in_extension_matches_whole_field_evaluation(p, k, K):
     # x**q - x: every root in the subfield B, each once
     polys.append(Polynomial(B, (0,) * B.Q + (1,)) - Polynomial.x(B))
     for f in polys:
-        assert root_pairs(f, E) == roots_by_evaluation(f, E), f
+        want = roots_by_evaluation(f, E)
+        assert root_idxs(f, E) == [r for r, _ in want], f
+        assert layer_root_pairs(f, E) == want, f
 
 
 def test_roots_in_extension_edge_cases():
@@ -387,14 +460,15 @@ def test_roots_in_extension_edge_cases():
     f3 = make_field(3, 1)
     # x**q - x splits into every element of the field, each once
     xq = Polynomial(f9, (0, f9.neg_idx(1)) + (0,) * 7 + (1,))
-    assert root_pairs(xq, f9) == [(a, 1) for a in range(9)]
-    assert root_pairs(Polynomial(f9, (5,)), f9) == []
-    assert root_pairs(Polynomial(f3, (1, 0, 1)), f3) == []  # x**2 + 1 has no root in GF(3)
+    assert root_idxs(xq, f9) == list(range(9))
+    assert root_idxs(Polynomial(f9, (5,)), f9) == []
+    assert root_idxs(Polynomial(f3, (1, 0, 1)), f3) == []  # x**2 + 1 has no root in GF(3)
     cube = Polynomial(f3, (1, 1)) * Polynomial(f3, (1, 1)) * Polynomial(f3, (1, 1))
-    assert root_pairs(cube, f9) == [(2, 3)]  # (x + 1)**3
+    assert root_idxs(cube, f9) == [2]  # (x + 1)**3
+    assert layer_root_pairs(cube, f9) == [(2, 3)]
     f16 = make_field(2, 4)
     x16 = Polynomial(f16, (0, 1) + (0,) * 14 + (1,))
-    assert root_pairs(x16, f16) == [(a, 1) for a in range(16)]
+    assert root_idxs(x16, f16) == list(range(16))
     with pytest.raises(ValueError):
         roots_in_extension(Polynomial(f9, ()), f9)
 
@@ -420,7 +494,9 @@ def test_roots_in_extension_matches_sympy_over_prime_fields(p, data):
     coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8))
     coeffs.append(data.draw(st.integers(1, p - 1)))
     fd = make_field(p, 1)
-    assert root_pairs(Polynomial(fd, coeffs), fd) == sympy_roots(coeffs, p)
+    f, want = Polynomial(fd, coeffs), sympy_roots(coeffs, p)
+    assert root_idxs(f, fd) == [r for r, _ in want]
+    assert layer_root_pairs(f, fd) == want
 
 
 @settings(max_examples=200, deadline=None)
