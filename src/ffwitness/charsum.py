@@ -339,6 +339,8 @@ def weil_audit_instances(
     max_degree is at most q**m: on GF(q**m), and so on the base field inside
     it, x**(q**m) = x, so a higher degree only repeats the values of a lower
     one."""
+    if count < 1:  # a sample of no applicable draw would pass vacuously
+        raise ValueError(f"count must be >= 1, got {count}")
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     base, B = make_field_pair(q, m, cap=cap)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -116,6 +117,8 @@ WEIL_COLUMNS = ["q", "m", "f", "chi", "re", "im", "abs", "bound", "applicable", 
 def _cmd_audit_weil(args) -> int:
     cap = _effective_cap(args)
     qs = [int(x) for x in args.q_list.split(",") if x]
+    if not qs:  # an audit of no field would pass vacuously
+        raise ValueError("--q-list names no q to audit")
     rows = []
     violated = False
     for q in qs:
@@ -149,6 +152,8 @@ BOUNDS_COLUMNS = ["q", "m_h", "floor_log2_qm1", "sqrt_ok", "log2_claim_ok"]
 
 def _cmd_audit_bounds(args) -> int:
     rows = audit_bounds_rows(args.q_max, args.h)
+    if not rows:  # an audit of no q would pass vacuously
+        raise ValueError(f"no odd prime power q in 3..{args.q_max} to audit")
     _rows_out(rows, BOUNDS_COLUMNS, args)
     return EXIT_AUDIT if any(not r["sqrt_ok"] for r in rows) else EXIT_OK
 
@@ -225,6 +230,7 @@ def _cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the options it reads: --out everywhere,
     # --cap-field where a field is built, --format where rows are printed

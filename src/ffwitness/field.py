@@ -404,11 +404,11 @@ class FieldDescriptor:
         return self._log[v].astype(np.int64)
 
     def mul_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u, v = np.broadcast_arrays(u, v)
-        out = np.zeros(u.shape, dtype=np.int64)
-        mask = (u != 0) & (v != 0)
-        out[mask] = self._exp[(self._log[u[mask]] + self._log[v[mask]]) % (self.Q - 1)]
-        return out
+        # log[0] = -1, so lu | lv is negative exactly where a factor is zero;
+        # the logs stay int32, as lu + lv < 2**31
+        lu, lv = self._log[u], self._log[v]
+        prod = self._exp[(lu + lv) % (self.Q - 1)]
+        return np.where((lu | lv) < 0, 0, prod).astype(np.int64, copy=False)
 
     def pow_vec(self, v: np.ndarray, e: int) -> np.ndarray:
         mask = v != 0

@@ -6,8 +6,12 @@ multiplicity layers built on them, and root finding in extensions.
 Multiplication and division run in the log domain: each coefficient is
 held as its discrete log (-1 for zero), a product of two terms is a sum of
 logs, and adding a term into a coefficient is one read of the field's Zech
-table. Results of internal arithmetic are already valid indices, so they
-skip the range checks of the public constructor."""
+table. Modular powers go from the top bit down: a square forms only the
+products a_i * a_j with i <= j (only the diagonal in characteristic 2), and
+a product by the base x or x + delta is a shift plus one reduction step. A
+squarefree f costs its squarefree part one gcd. Results of internal
+arithmetic are already valid indices, so they skip the range checks of the
+public constructor."""
 
 from __future__ import annotations
 
@@ -42,29 +46,69 @@ def _log_mul(a: list[int], b: list[int], n: int, zech) -> list[int]:
     return acc
 
 
+def _log_square(a: list[int], n: int, zech) -> list[int]:
+    """The square of a polynomial given by coefficient logs, with n = Q - 1,
+    from the products a_i * a_j with i <= j only: the diagonal a_i**2 and,
+    for odd p, the cross terms 2 * a_i * a_j, i < j. In characteristic 2 the
+    cross terms vanish, so only the diagonal is formed."""
+    terms = [(i, x) for i, x in enumerate(a) if x >= 0]
+    acc = [-1] * (2 * len(a) - 1)
+    for i, x in terms:
+        acc[2 * i] = 2 * x % n
+    two = zech[0]  # log(1 + 1), -1 in characteristic 2
+    if two >= 0:
+        for s, (i, x) in enumerate(terms):
+            x += two
+            for j, y in terms[s + 1 :]:
+                t = (x + y) % n
+                c = acc[i + j]
+                if c < 0:
+                    acc[i + j] = t
+                else:
+                    z = zech[t - c]  # as in _log_mul
+                    acc[i + j] = (c + z) % n if z >= 0 else -1
+    return acc
+
+
+def _log_mul_x_plus(a: list[int], d: int, n: int, zech) -> list[int]:
+    """a * (x + g**d), all in logs, with d = -1 for x: a shifted up one
+    place, plus a scaled by g**d."""
+    acc = [-1] + a
+    if d >= 0:
+        for i, x in enumerate(a):
+            if x >= 0:
+                t = (x + d) % n
+                c = acc[i]
+                if c < 0:
+                    acc[i] = t
+                else:
+                    z = zech[t - c]  # as in _log_mul
+                    acc[i] = (c + z) % n if z >= 0 else -1
+    return acc
+
+
 def _log_divisor(f: "Polynomial") -> tuple[int, int, list[tuple[int, int]]]:
     """A nonzero divisor f as (degree, log of the leading coefficient,
     [(j, log(-f_j / f_lead)) for the nonzero lower f_j])."""
     fd = f.field
     n, log = fd.Q - 1, fd._logv
     lead = log[f.coeffs[-1]]
-    shift = log[fd.neg_idx(1)] - lead
+    shift = (0 if fd.p == 2 else n // 2) - lead  # log(-1) = (Q-1)/2 for odd p
     return f.degree(), lead, [(j, (log[c] + shift) % n) for j, c in enumerate(f.coeffs[:-1]) if c]
 
 
-def _log_divide(rem: list[int], divisor, n: int, zech) -> list[int]:
-    """Divide rem, given by coefficient logs, by a divisor from _log_divisor:
-    returns the quotient's logs and leaves the remainder in rem[:degree]
-    (the entries above it are left stale)."""
-    db, lead, terms = divisor
-    quo = [-1] * max(0, len(rem) - db)
+def _log_reduce(rem: list[int], divisor, n: int, zech) -> list[int]:
+    """rem, given by coefficient logs, reduced modulo a divisor from
+    _log_divisor, in place: returns rem[:degree], the remainder. Each entry
+    above it is left at the value it had when its position was cleared, as
+    no later step writes at or above the position it clears."""
+    db, _, terms = divisor
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if c >= 0:
-            # subtracting q * f, q = g**c / f_lead, clears position i exactly
-            # and adds g**c * (-f_j / f_lead) below it
+            # subtracting g**c / f_lead * x**(i - db) * f clears position i
+            # exactly and adds g**c * (-f_j / f_lead) below it
             base = i - db
-            quo[base] = (c - lead) % n
             for j, y in terms:
                 t = (c + y) % n
                 r = rem[base + j]
@@ -73,14 +117,17 @@ def _log_divide(rem: list[int], divisor, n: int, zech) -> list[int]:
                 else:
                     z = zech[t - r]  # as in _log_mul
                     rem[base + j] = (r + z) % n if z >= 0 else -1
-    return quo
+    return rem[:db]
 
 
-def _log_mulmod(a: list[int], b: list[int], divisor, n: int, zech) -> list[int]:
-    """a * b reduced modulo a divisor from _log_divisor, all in logs."""
-    prod = _log_mul(a, b, n, zech)
-    _log_divide(prod, divisor, n, zech)
-    return prod[: divisor[0]]
+def _log_divide(rem: list[int], divisor, n: int, zech) -> list[int]:
+    """Divide rem, given by coefficient logs, by a divisor from _log_divisor:
+    returns the quotient's logs, log(c / f_lead) for each entry c that
+    _log_reduce leaves above the remainder, and leaves the remainder in
+    rem[:degree]."""
+    db, lead, _ = divisor
+    _log_reduce(rem, divisor, n, zech)
+    return [(c - lead) % n if c >= 0 else -1 for c in rem[db:]]
 
 
 class Polynomial:
@@ -278,21 +325,29 @@ class Polynomial:
 
 
 def poly_powmod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    """base**e mod mod, by binary powering. The products and reductions
-    stay in the log domain throughout."""
+    """base**e mod mod, by binary powering from the top bit down: a square
+    per bit, then a product by the reduced base for each set bit. For a
+    reduced base x or x + delta, that product is a shift plus one reduction
+    step. The products and reductions stay in the log domain throughout;
+    0**0 is 1."""
     if e < 0:
         raise ValueError("negative exponent")
     fd = mod.field
-    acc = base % mod
+    b = (base % mod)._logs()
+    if e == 0:
+        return Polynomial._trusted(fd, [1])
     n, zech = fd.Q - 1, fd.zech_table()
     divisor = _log_divisor(mod)
-    result, acc_logs = [0], acc._logs()  # log(1) = 0
-    while e:
-        if e & 1:
-            result = _log_mulmod(result, acc_logs, divisor, n, zech)
-        e >>= 1
-        if e:
-            acc_logs = _log_mulmod(acc_logs, acc_logs, divisor, n, zech)
+    monic_linear = len(b) == 2 and b[1] == 0  # b is x + g**b[0], or x if b[0] = -1
+    result = b
+    for bit in bin(e)[3:]:
+        result = _log_reduce(_log_square(result, n, zech), divisor, n, zech)
+        if bit == "1":
+            if monic_linear:
+                prod = _log_mul_x_plus(result, b[0], n, zech)
+            else:
+                prod = _log_mul(result, b, n, zech)
+            result = _log_reduce(prod, divisor, n, zech)
     return Polynomial._from_logs(fd, result)
 
 
@@ -304,7 +359,7 @@ def poly_prodmod(factors: Iterable[Polynomial], mod: Polynomial) -> Polynomial:
     divisor = _log_divisor(mod)
     result = [0]  # log(1) = 0
     for g in factors:
-        result = _log_mulmod(result, g._logs(), divisor, n, zech)
+        result = _log_reduce(_log_mul(result, g._logs(), n, zech), divisor, n, zech)
     return Polynomial._from_logs(fd, result)
 
 
@@ -409,7 +464,9 @@ def pth_root_poly(f: Polynomial) -> Polynomial:
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:
-    """The monic product of the distinct irreducible factors of f."""
+    """The monic product of the distinct irreducible factors of f; when
+    gcd(f, f') = 1, f is squarefree and is returned monic after that one
+    gcd."""
     if f.degree() < 0:
         raise ValueError("zero polynomial")
     if f.degree() == 0:
@@ -419,6 +476,8 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     if d.is_zero():
         return squarefree_part(pth_root_poly(f))
     g = f.gcd(d)
+    if g.degree() == 0:  # f is squarefree
+        return f
     w = f // g  # product of factors with multiplicity not divisible by p
     # factors of g that vanish in w have multiplicity divisible by p
     rest = g
@@ -439,7 +498,7 @@ def squarefree_layers(f: Polynomial) -> list[tuple[int, Polynomial]]:
     With F_1 = f monic, S_e = squarefree_part(F_e) holds the factors of
     multiplicity >= e, F_{e+1} = F_e / S_e and A_e = S_e / S_{e+1}; once
     S_e has the degree of F_e, A_e = S_e, so a squarefree f costs one
-    squarefree_part and no division."""
+    squarefree_part, that is one gcd, and no division."""
     F = f.monic()
     S = squarefree_part(F)
     layers, e = [], 1

@@ -666,6 +666,13 @@ def test_audit_rows_deterministic():
     assert sig1 != [(r.f.coeffs, r.chi.index) for r in rows3]
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_audit_of_no_applicable_draw_is_refused(count):
+    # the sampler would stop at once, and an audit of nothing passes vacuously
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        weil_audit_instances(7, 2, count)
+
+
 def test_audit_rows_reach_count_and_hold():
     rows = weil_audit_instances(7, 2, 12, seed=0)
     app = [r for r in rows if r.result.applicable is True]

@@ -255,6 +255,10 @@ MALFORMED = {
     # an all_ok over no field would be vacuous
     "ck-check-reversed-range": (["ck-check", "--q-min", "50", "--q-max", "7"], None),
     "hm-check-empty-p-list": (["hm-check", "--p-list", ""], None),
+    "audit-weil-empty-q-list": (["audit-weil", "--q-list", ","], None),
+    "audit-weil-count-zero": (["audit-weil", "--q-list", "7", "--count", "0"], None),
+    "audit-weil-count-negative": (["audit-weil", "--q-list", "7", "--count", "-1"], None),
+    "audit-bounds-no-odd-q": (["audit-bounds", "--q-max", "2"], None),
 }
 
 
@@ -407,6 +411,57 @@ def test_verify_over_cap_exits_3(tmp_path):
     code, out, err = run(["verify", str(path), "--cap-field", "10"])
     assert code == cli.EXIT_CAP and out == ""
     assert err.startswith("cap exceeded: ")
+    clear_field_cache()
+
+
+# each call of a sequence run in one process, against the same call run alone
+# in a fresh one: the parser is built once per process, and no call may leave
+# state in it for the next
+SEQUENCE_PROBE = """
+import contextlib, io, json, sys
+from ffwitness import cli
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    print(json.dumps([code, out.getvalue()]))
+"""
+
+SEQUENCE = [
+    ["survey", "--q-min", "7", "--q-max", "13", "--h", "2", "--d", "3", "--format", "csv"],
+    ["audit-weil", "--q-list", "7", "--count", "0"],
+    ["audit-weil", "--q-list", "7", "--m", "2", "--count", "4", "--format", "csv"],
+    ["survey", "--q-min", "7", "--q-max", "13"],
+]
+
+
+def test_one_process_gives_each_call_its_lone_output():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("FFWITNESS_CAP", None)
+
+    def probe(argvs):
+        cmd = [sys.executable, "-c", SEQUENCE_PROBE, json.dumps(argvs)]
+        out = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True).stdout
+        return [json.loads(line) for line in out.splitlines()]
+
+    together = probe(SEQUENCE)
+    assert [code for code, _ in together] == [0, cli.EXIT_BAD_INPUT, 0, 0]
+    assert together == [probe([argv])[0] for argv in SEQUENCE]
+
+
+def test_cached_parser_still_yields_to_the_cap_variable(monkeypatch):
+    argv = ["construct", "--p", "3", "--k", "1", "--h", "2", "--d", "2", "--cap-field", "1000000"]
+    monkeypatch.delenv("FFWITNESS_CAP", raising=False)
+    assert cli._build_parser() is cli._build_parser()
+    clear_field_cache()
+    assert run(argv)[0] == cli.EXIT_OK
+    monkeypatch.setenv("FFWITNESS_CAP", "5")
+    clear_field_cache()
+    assert run(argv)[0] == cli.EXIT_CAP
+    monkeypatch.delenv("FFWITNESS_CAP")
+    clear_field_cache()
+    assert run(argv)[0] == cli.EXIT_OK
     clear_field_cache()
 
 

@@ -399,6 +399,33 @@ def test_vector_ops_match_scalar(p, k):
     assert pw.tolist() == [fd.pow_idx(a, 3) for a in range(fd.Q)]
 
 
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 3), (3, 2)])
+def test_mul_vec_matches_mul_idx_exhaustively(p, k):
+    # every pair as two full arrays, each element against the whole field as
+    # a scalar broadcast (0-d array and numpy scalar, on either side), and
+    # every pair as 0-d arrays; inputs are read-only, so a kernel that wrote
+    # into them would raise
+    fd = make_field(p, k)
+    idxs = fd.all_indices()
+    u, v = (np.ascontiguousarray(a) for a in np.meshgrid(idxs, idxs))
+    for a in (idxs, u, v):
+        a.flags.writeable = False
+    want = [[fd.mul_idx(a, b) for a in range(fd.Q)] for b in range(fd.Q)]
+    got = fd.mul_vec(u, v)
+    assert got.dtype == np.int64 and got.shape == u.shape
+    assert got.tolist() == want
+    for b in range(fd.Q):
+        for s in (np.array(b, dtype=np.int64), np.int64(b)):
+            assert fd.mul_vec(idxs, s).dtype == np.int64
+            assert fd.mul_vec(idxs, s).tolist() == want[b]
+            assert fd.mul_vec(s, idxs).tolist() == want[b]
+        for a in range(fd.Q):
+            r = fd.mul_vec(np.array(a), np.array(b))
+            assert r.shape == () and r.dtype == np.int64 and int(r) == want[b][a]
+    assert idxs.tolist() == list(range(fd.Q))
+    assert u.tolist() == [list(range(fd.Q))] * fd.Q
+
+
 def test_eval_poly_vec_horner():
     fd = make_field(7, 1)
     coeffs = [2, 0, 1]  # 2 + x**2

@@ -24,6 +24,7 @@ from sympy.polys.galoistools import (
     gf_factor,
     gf_irreducible_p,
     gf_mul,
+    gf_pow_mod,
     gf_sqf_list,
     gf_sqf_part,
 )
@@ -191,6 +192,48 @@ def test_poly_powmod_matches_repeated_mul():
     for e in range(8):
         assert poly_powmod(x, e, f) == acc % f
         acc = acc * x
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)])
+def test_poly_powmod_matches_the_right_to_left_reference(p, k):
+    # poly_powmod powers from the top bit down, ref_powmod from the bottom
+    # up; p = 3 is where 2 = -1, p = 2 where the squares' cross terms vanish.
+    # Bases: x and x + delta (the shift fast path), a non-monic linear base,
+    # a base of degree at or above the modulus's, and zero (0**0 = 1);
+    # moduli down to degree 1.
+    fd = make_field(p, k)
+    Q = fd.Q
+    rng = random.Random(1000 * p + k)
+    exps = sorted({0, 1, 2, 3, p, (Q - 1) // 2, Q - 1, Q, rng.randrange(Q * Q), rng.randrange(1 << 40)})
+    for deg in (1, 2, 3, 5):
+        mod = Polynomial(fd, [rng.randrange(Q) for _ in range(deg)] + [rng.randrange(1, Q)])
+        bases = [
+            Polynomial.x(fd),
+            Polynomial(fd, (rng.randrange(1, Q), 1)),
+            Polynomial(fd, (rng.randrange(Q), rng.randrange(1, Q))),
+            Polynomial(fd, [rng.randrange(Q) for _ in range(deg + rng.randint(0, 3))] + [rng.randrange(1, Q)]),
+            Polynomial(fd, ()),
+        ]
+        for base in bases:
+            for e in exps:
+                got = poly_powmod(base, e, mod).coeffs
+                assert got == ref_powmod(fd, base.coeffs, e, mod.coeffs), (base, e, mod)
+    zero = Polynomial(fd, ())
+    assert poly_powmod(zero, 0, Polynomial.x(fd)).coeffs == (1,)
+    assert poly_powmod(zero, 5, Polynomial.x(fd)).coeffs == ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.data())
+def test_poly_powmod_matches_sympy_over_prime_fields(p, data):
+    fd = make_field(p, 1)
+    coeff = st.integers(0, p - 1)
+    mod = data.draw(st.lists(coeff, min_size=1, max_size=7)) + [data.draw(st.integers(1, p - 1))]
+    base = _trim(data.draw(st.lists(coeff, max_size=10)))
+    e = data.draw(st.integers(0, 1 << 64))
+    want = gf_pow_mod([ZZ(c) for c in reversed(base)], e, [ZZ(c) for c in reversed(mod)], p, ZZ)
+    got = poly_powmod(Polynomial(fd, base), e, Polynomial(fd, mod))
+    assert got.coeffs == tuple(int(c) for c in reversed(want))
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (7, 2), (3, 5), (257, 1), (101, 2), (2, 12)])
@@ -373,6 +416,35 @@ def test_squarefree_layers_match_sympy_over_prime_fields(p):
         assert prod == f.monic(), f
         seen.update(e for e, _ in layers)
     assert {1, 2, p, p + 1} <= seen, seen
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2)])
+def test_a_squarefree_f_costs_one_gcd_and_no_division(p, k, monkeypatch):
+    # counted by wrappers on the class: squarefree_part returns right after
+    # gcd(f, f') = 1, and squarefree_layers finds its one layer from it
+    fd = make_field(p, k)
+    rng = random.Random(70 + p + k)
+    counts = {"gcd": 0, "floordiv": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(Polynomial, "gcd", counting("gcd", Polynomial.gcd))
+    monkeypatch.setattr(Polynomial, "__floordiv__", counting("floordiv", Polynomial.__floordiv__))
+    seen = 0
+    while seen < 20:
+        f = Polynomial(fd, [rng.randrange(fd.Q) for _ in range(rng.randint(1, 6))] + [rng.randrange(1, fd.Q)])
+        d = f.derivative()
+        if d.is_zero() or f.gcd(d).degree() > 0:
+            continue
+        seen += 1
+        for fn, want in ((squarefree_part, f.monic()), (squarefree_layers, [(1, f.monic())])):
+            counts.update(gcd=0, floordiv=0)
+            assert fn(f) == want
+            assert counts == {"gcd": 1, "floordiv": 0}, (fn.__name__, f)
 
 
 def test_squarefree_layers_edge_cases():
